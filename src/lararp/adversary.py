@@ -20,6 +20,12 @@ CONTROL_FLOOD = "controlflood"
 
 KINDS = (BLACK_HOLE, GRAY_HOLE, TAMPER, REPLAY, RUSHING, CONTROL_FLOOD)
 
+# message fields mutate_field can corrupt
+TAMPER_FIELDS = ("source_id", "dest_id", "request_id", "source_tag",
+                 "request_id_tag", "verifier_index", "verifier_secret",
+                 "node_list", "route", "hop_tags", "dest_tags",
+                 "reverse_hop_tags")
+
 
 @dataclass
 class AttackerProfile:
@@ -37,6 +43,8 @@ class AttackerProfile:
             raise ValueError("drop_prob must be in [0,1]")
         if self.flood_rate <= 0:
             raise ValueError("flood_rate must be positive")
+        if self.tamper_field not in TAMPER_FIELDS:
+            raise ValueError(f"unknown tamper_field {self.tamper_field!r}")
 
 
 def mutate_field(message, fieldname: str, rng):

@@ -156,7 +156,7 @@ class NodeState:
         self.shared_keys = shared_keys
         self.publics = publics                  # node id -> public verifier list
         self.config = config
-        self.neighbors_fn = neighbors_fn        # node id -> iterable of neighbor ids
+        self.neighbors_fn = neighbors_fn        # node id -> container of neighbor ids
         self.log = log
         self.mode = mode
         self.ntt = NeighborTrustTable(config.initial_credit)
@@ -319,7 +319,7 @@ class NodeState:
         pos = rrep.route.index(self.id)
         toward_dest = rrep.route[pos + 1] if pos + 1 < len(rrep.route) else rrep.dest_id
         toward_src = rrep.route[pos - 1] if pos > 0 else rrep.source_id
-        neighbors = set(self.neighbors_fn(self.id))
+        neighbors = self.neighbors_fn(self.id)
         if toward_dest not in neighbors or toward_src not in neighbors:
             return HandlerResult.dropped(NOT_IN_ROUTE)
         charged = 1
@@ -363,9 +363,8 @@ class NodeState:
         if not verify_tag(self.key(rrep.dest_id), pend.request_id,
                           rrep.request_id_tag):
             return HandlerResult.dropped(REPLAY)
-        neighbors = set(self.neighbors_fn(self.id))
         first_hop = rrep.route[0] if rrep.route else rrep.dest_id
-        if first_hop not in neighbors:
+        if first_hop not in self.neighbors_fn(self.id):
             return HandlerResult.dropped(BAD_FIRST_HOP)
         charged = 1
         self._count_checks(1)
@@ -431,7 +430,7 @@ class NodeState:
             next_hop = route[pos + 1] if pos + 1 < len(route) else packet.dest_id
         else:
             return HandlerResult.dropped(NOT_IN_ROUTE)
-        if next_hop not in set(self.neighbors_fn(self.id)):
+        if next_hop not in self.neighbors_fn(self.id):
             self.invalidate_route(packet.dest_id)
             return HandlerResult(actions=[LinkBreak(packet, packet.dest_id)],
                                  drop=LINK_BREAK)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import crypto, protocol
-from .adversary import Attacker, AttackerProfile, CONTROL_FLOOD, KINDS
+from .adversary import (Attacker, AttackerProfile, CONTROL_FLOOD, KINDS,
+                        TAMPER_FIELDS)
 from .eventlog import Record
 from .messages import DataPacket, REQUEST_ID_LEN, Rrep, Rreq, wire_size
 from .metrics import MetricsCollector, MetricsReport
@@ -86,6 +87,8 @@ class ScenarioConfig:
             raise ScenarioError("attacker_count must be below node_count")
         if self.attacker_kind not in KINDS:
             raise ScenarioError(f"unknown attacker_kind {self.attacker_kind!r}")
+        if self.tamper_field not in TAMPER_FIELDS:
+            raise ScenarioError(f"unknown tamper_field {self.tamper_field!r}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.flow_count < 1:
@@ -155,12 +158,15 @@ def load_scenario(path) -> ScenarioConfig:
 
 class MobilityState:
     """Random-waypoint state for every node. Nodes start paused at their
-    initial placement, so pause_time >= sim_time yields a static network."""
+    initial placement, so pause_time >= sim_time yields a static network.
+
+    Neighbour rows are computed lazily, one per queried node, against numpy
+    copies of the positions taken once per change, and are kept until
+    step_mobility moves a node. ``_nbr_cache = None`` marks them stale."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random):
         self.config = config
         self.now = 0.0
-        self.version = 0
         n = config.node_count
         if config.positions is not None:
             if len(config.positions) != n:
@@ -181,31 +187,35 @@ class MobilityState:
     def distance(self, a: int, b: int) -> float:
         return math.hypot(self.x[a] - self.x[b], self.y[a] - self.y[b])
 
-    def _adjacency(self) -> dict[int, list[int]]:
-        if self._nbr_cache is None:
-            pos = np.column_stack((self.x, self.y))
-            diff = pos[:, None, :] - pos[None, :, :]
-            within = (diff ** 2).sum(axis=2) <= self.config.radio_range ** 2
-            np.fill_diagonal(within, False)
-            self._nbr_cache = {i: [int(j) for j in np.flatnonzero(row)]
-                               for i, row in enumerate(within)}
-        return self._nbr_cache
-
     def neighbors(self, node: int) -> list[int]:
         """Ids within radio range of node, ascending (hence deterministic)."""
-        return self._adjacency()[node]
+        if self._nbr_cache is None:
+            self._nbr_cache = {}
+            self._xs = np.array(self.x)
+            self._ys = np.array(self.y)
+        row = self._nbr_cache.get(node)
+        if row is None:
+            xs, ys = self._xs, self._ys
+            within = ((xs - xs[node]) ** 2 + (ys - ys[node]) ** 2
+                      <= self.config.radio_range ** 2)
+            within[node] = False
+            row = self._nbr_cache[node] = np.flatnonzero(within).tolist()
+        return row
 
 
 def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
-    """Advance every node by dt seconds of random-waypoint motion."""
+    """Advance every node by dt seconds of random-waypoint motion; neighbour
+    rows go stale only if some node was unpaused."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = mobility.config
     mobility.now += dt
     now = mobility.now
+    moved = False
     for i in range(cfg.node_count):
         if mobility.paused_until[i] > now:
             continue
+        moved = True
         if mobility.waypoint[i] is None:
             mobility.waypoint[i] = (rng.uniform(0.0, cfg.area_width),
                                     rng.uniform(0.0, cfg.area_height))
@@ -221,13 +231,8 @@ def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
         else:
             mobility.x[i] += dx / dist * step
             mobility.y[i] += dy / dist * step
-    mobility.version += 1
-    mobility._nbr_cache = None
-
-
-def neighbors(node: int, mobility: MobilityState) -> set[int]:
-    """Unit-disk neighborhood of a node at the current mobility state."""
-    return set(mobility.neighbors(node))
+    if moved:
+        mobility._nbr_cache = None
 
 
 # -- engine -----------------------------------------------------------------

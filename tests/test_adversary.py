@@ -1,9 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import World
-from lararp.adversary import (Attacker, AttackerProfile, mutate_field)
+from lararp.adversary import (Attacker, AttackerProfile, TAMPER_FIELDS,
+                              mutate_field)
 from lararp.messages import Rreq
 from lararp.simnet import ScenarioConfig, run
 
@@ -27,6 +29,23 @@ def test_profile_validation():
         AttackerProfile(kind="grayhole", drop_prob=1.5)
     with pytest.raises(ValueError):
         AttackerProfile(kind="controlflood", flood_rate=0)
+    with pytest.raises(ValueError):
+        AttackerProfile(kind="tamper", tamper_field="bogus")
+
+
+def test_tamper_fields_are_what_mutate_field_accepts():
+    rng = random.Random(0)
+    for name in TAMPER_FIELDS:
+        message = SimpleNamespace(
+            source_id=1, dest_id=2, request_id=b"r" * 8, source_tag=b"s" * 8,
+            request_id_tag=b"q" * 8, verifier=(0, b"v" * 16),
+            node_list=[3, 4], route=[3, 4], hop_tags=[b"h" * 8],
+            dest_tags=[b"d" * 8], reverse_hop_tags=[b"b" * 8])
+        before = repr(message)
+        mutate_field(message, name, rng)
+        assert repr(message) != before
+    with pytest.raises(ValueError):
+        mutate_field(SimpleNamespace(), "bogus", rng)
 
 
 def test_blackhole_on_only_path_zeroes_pdr():

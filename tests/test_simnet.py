@@ -1,13 +1,14 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
-                           Simulation, neighbors, parse_scenario, run,
-                           step_mobility)
+                           Simulation, parse_scenario, run, step_mobility)
 
 PER_HOP_DELAY = 512 * 8 / 2_000_000 + 0.001    # serialization + processing
 
@@ -61,6 +62,12 @@ def test_scenario_parse_bad_value_names_key():
     assert "node_count" in str(exc.value)
 
 
+def test_scenario_parse_rejects_unknown_tamper_field():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("tamper_field = bogus\n")
+    assert "bogus" in str(exc.value)
+
+
 # -- determinism ------------------------------------------------------------
 
 def test_same_seed_identical_log_and_report():
@@ -75,6 +82,23 @@ def test_different_seeds_differ():
     r1, _ = run(small_config(seed=1))
     r2, _ = run(small_config(seed=2))
     assert r1 != r2
+
+
+# sha256 of format_log: the criterion-8 run, and a 300-node run at the
+# default density with nodes that never pause
+GOLDEN_LOGS = [
+    (dict(attacker_count=5),
+     "08f8fdade645c324183556ea80fba31b045aa087ce3540715f175616086d858c"),
+    (dict(node_count=300, area_width=1732.0, area_height=1732.0,
+          sim_time=10.0, pause_time=0.0, attacker_count=5, seed=5),
+     "6e814accdba14f7cdcf3955b30a3d1bcc61aa693707215d7eb54195df38cd0a5"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", GOLDEN_LOGS)
+def test_golden_event_log(kwargs, digest):
+    _, records = run(ScenarioConfig(**kwargs), keep_log=True)
+    assert hashlib.sha256(format_log(records).encode()).hexdigest() == digest
 
 
 # -- radio ------------------------------------------------------------------
@@ -102,8 +126,64 @@ def test_neighbor_symmetry_random_placements():
             if a == b:
                 continue
             expected = mob.distance(a, b) <= cfg.radio_range
-            assert (b in neighbors(a, mob)) == expected
-            assert (a in neighbors(b, mob)) == (b in neighbors(a, mob))
+            assert (b in mob.neighbors(a)) == expected
+            assert (a in mob.neighbors(b)) == (b in mob.neighbors(a))
+
+
+@st.composite
+def placements(draw):
+    """(radio_range, positions): free points plus, for some of them, a
+    partner exactly radio_range away or on the same spot."""
+    k = draw(st.integers(1, 80))
+    r = 5.0 * k
+    a, b = 3.0 * k, 4.0 * k               # a**2 + b**2 == r**2 exactly
+    grid = st.integers(0, 1000).map(float)
+    free = st.floats(0.0, 1000.0, allow_nan=False)
+    points = draw(st.lists(st.tuples(st.one_of(grid, free),
+                                     st.one_of(grid, free)),
+                           min_size=2, max_size=12))
+    positions = []
+    for x, y in points:
+        positions.append((x, y))
+        partner = draw(st.sampled_from(
+            [None, (x, y), (x + r, y), (x, y + r), (x + a, y + b)]))
+        if partner is not None and x.is_integer() and y.is_integer():
+            positions.append(partner)
+    return r, positions
+
+
+def oracle_neighbors(mob, i, r):
+    # Python floats; dx * dx rounds as numpy's square does, while
+    # math.hypot can disagree with the squared test at the boundary
+    out = []
+    for j in range(len(mob.x)):
+        dx, dy = mob.x[i] - mob.x[j], mob.y[i] - mob.y[j]
+        if j != i and dx * dx + dy * dy <= r ** 2:
+            out.append(j)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(placements(), st.sampled_from([0.0, 0.25, 100.0]),
+       st.integers(0, 2 ** 16))
+@example((250.0, [(0.0, 0.0), (250.0, 0.0), (150.0, 200.0), (0.0, 0.0)]),
+         100.0, 0)
+def test_neighbors_match_pairwise_oracle(placed, pause_time, seed):
+    r, positions = placed
+    cfg = ScenarioConfig(node_count=len(positions), positions=positions,
+                         radio_range=r, pause_time=pause_time)
+    mob = MobilityState(cfg, random.Random(seed))
+    rng = random.Random(seed + 1)
+    n = cfg.node_count
+    for _ in range(4):
+        rows = [mob.neighbors(i) for i in range(n)]
+        assert rows == [oracle_neighbors(mob, i, r) for i in range(n)]
+        frozen = all(p > mob.now + 0.1 for p in mob.paused_until)
+        step_mobility(mob, 0.1, rng)
+        if frozen:
+            assert all(mob.neighbors(i) is rows[i] for i in range(n))
+    assert [mob.neighbors(i) for i in range(n)] == [
+        oracle_neighbors(mob, i, r) for i in range(n)]
 
 
 def test_one_hop_static_flow_is_lossless():
