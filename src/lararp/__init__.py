@@ -10,7 +10,6 @@ from .protocol import (NeighborTrustTable, NodeState, ProtocolConfig,
 from .adversary import Attacker, AttackerProfile
 from .simnet import (MobilityState, ScenarioConfig, ScenarioError, Simulation,
                      load_scenario, parse_scenario, run, step_mobility)
-from .metrics import (MetricsReport, average_end_to_end_delay,
-                      control_overhead, fold, packet_delivery_ratio)
+from .metrics import MetricsReport, fold
 
 __version__ = "0.1.0"

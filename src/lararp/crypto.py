@@ -88,30 +88,33 @@ def verify_tag(key: bytes, message: bytes, tag: bytes) -> bool:
 
 
 class SharedKeyTable:
-    """Pairwise symmetric keys, pre-provisioned for every node pair.
+    """Pairwise symmetric keys for every pair of a fixed node set, each
+    derived from the master secret on first use.
 
-    Lookup is symmetric: key(a, b) == key(b, a).
+    Lookup is symmetric: key(a, b) == key(b, a). A self-pair or an id
+    outside the set raises KeyError.
     """
 
-    def __init__(self):
+    def __init__(self, master: bytes, node_ids):
+        self._master = master
+        self._ids = frozenset(node_ids)
         self._keys: dict[tuple[int, int], bytes] = {}
 
     @classmethod
     def derive(cls, master: bytes, node_ids) -> "SharedKeyTable":
-        """Derive one key per unordered pair from a master secret."""
-        table = cls()
-        ids = sorted(node_ids)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                material = master + a.to_bytes(4, "big") + b.to_bytes(4, "big")
-                table._keys[(a, b)] = owf(b"pair", material)
-        return table
+        return cls(master, node_ids)
 
     def key(self, a: int, b: int) -> bytes:
-        if a == b:
-            raise KeyError("no self-key")
         pair = (a, b) if a < b else (b, a)
-        return self._keys[pair]
+        key = self._keys.get(pair)
+        if key is None:
+            if a == b or a not in self._ids or b not in self._ids:
+                raise KeyError(f"no key for pair {pair}")
+            material = (self._master + pair[0].to_bytes(4, "big")
+                        + pair[1].to_bytes(4, "big"))
+            key = self._keys[pair] = owf(b"pair", material)
+        return key
 
     def __len__(self):
-        return len(self._keys)
+        n = len(self._ids)
+        return n * (n - 1) // 2

@@ -227,9 +227,20 @@ def decode(data: bytes):
     return msg
 
 
+# Encoded lengths of the fixed parts: the RREQ header and its two list
+# counts; the RREP body header and its three list counts.
+_RREQ_FIXED = 1 + 4 + 4 + REQUEST_ID_LEN + TAG_LEN + 4 + SECRET_LEN + 2 + 2
+_RREP_FIXED = 1 + 4 + 4 + TAG_LEN + 2 + 2 + 2
+
+
 def wire_size(message) -> int:
     """Bytes occupying the channel: payload size for data, encoded length
-    for control messages."""
+    for control messages. Counted from the list lengths without validating,
+    so an invalid message still has a size and its receivers drop it."""
     if isinstance(message, DataPacket):
         return message.payload_size
-    return len(encode(message))
+    if isinstance(message, Rreq):
+        return (_RREQ_FIXED + 4 * len(message.node_list)
+                + TAG_LEN * len(message.hop_tags))
+    return (_RREP_FIXED + 4 * len(message.route) + TAG_LEN
+            * (len(message.dest_tags) + len(message.reverse_hop_tags)))

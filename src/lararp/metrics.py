@@ -1,8 +1,8 @@
 """The three performance metrics, computed by folding the event log.
 
-The simulator keeps its own live MetricsCollector; the module-level
-functions recompute each metric from (possibly re-parsed) log records so
-the two paths can be checked against each other exactly.
+The simulator keeps its own live MetricsCollector; fold recomputes every
+metric from (possibly re-parsed) log records so the two paths can be
+checked against each other exactly.
 """
 
 from dataclasses import dataclass, field
@@ -92,26 +92,3 @@ def fold(records) -> MetricsReport:
         collector.observe(rec)
     return collector.report()
 
-
-def packet_delivery_ratio(records) -> float:
-    """Delivered data packets over transmitted data packets."""
-    report = fold(records)
-    if report.data_sent == 0:
-        raise ValueError("no data packets sent")
-    return report.pdr
-
-
-def average_end_to_end_delay(records) -> float:
-    """Mean source-to-destination latency over delivered packets only."""
-    report = fold(records)
-    if report.data_delivered == 0:
-        raise ValueError("no data packets delivered")
-    return report.avg_delay
-
-
-def control_overhead(records) -> float:
-    """Per-hop RREQ/RREP transmissions normalized by delivered packets."""
-    report = fold(records)
-    if report.data_delivered == 0:
-        raise ValueError("no data packets delivered")
-    return report.control_overhead

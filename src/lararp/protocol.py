@@ -210,36 +210,51 @@ class NodeState:
         already exists."""
         if self.has_route(dest):
             return None
-        if self.keychain.remaining() == 0:
-            seed = rng.randbytes(crypto.SECRET_LEN)
-            self.keychain = crypto.generate_keychain(
-                seed, self.config.chain_length, owner=self.id)
-            self.publics[self.id] = self.keychain.publics
-            self.log("key-rollover")
-        request_id = rng.randbytes(messages.REQUEST_ID_LEN)
-        verifier = reveal_next(self.keychain)
-        rreq = Rreq(source_id=self.id, dest_id=dest, request_id=request_id,
-                    source_tag=compute_tag(self.key(dest), request_id),
-                    verifier=verifier)
-        self.seen_requests.add((self.id, request_id))
+        rreq = self.new_rreq(dest, rng)
         if retries is None:
             retries = self.config.rreq_retries
         self.pending[dest] = PendingRequest(
-            request_id=request_id, dest=dest, sent_at=now,
+            request_id=rreq.request_id, dest=dest, sent_at=now,
             timeout=self.config.rreq_timeout, retries_remaining=retries)
-        self.log("discovery-start", dest=dest, request_id=request_id.hex())
+        self.log("discovery-start", dest=dest,
+                 request_id=rreq.request_id.hex())
         return rreq
 
-    def handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> HandlerResult:
-        """Intermediate-node RREQ processing: verify, credit, append, forward."""
+    def new_rreq(self, dest: int, rng) -> Rreq:
+        """Build an RREQ to dest under a fresh request id and mark it seen;
+        a spent key chain is rolled over first."""
+        if self.keychain.remaining() == 0:
+            self.keychain = crypto.generate_keychain(
+                rng.randbytes(crypto.SECRET_LEN), self.config.chain_length,
+                owner=self.id)
+            self.publics[self.id] = self.keychain.publics
+            self.log("key-rollover")
+        request_id = rng.randbytes(messages.REQUEST_ID_LEN)
+        rreq = Rreq(source_id=self.id, dest_id=dest, request_id=request_id,
+                    source_tag=compute_tag(self.key(dest), request_id),
+                    verifier=reveal_next(self.keychain))
+        self.seen_requests.add((self.id, request_id))
+        return rreq
+
+    def _admit(self, rreq: Rreq) -> str | None:
+        """The drop reason for an RREQ every receiver must refuse (malformed,
+        already seen, unknown source, bad verifier), or None."""
         try:
             rreq.validate()
         except messages.EncodingError:
-            return HandlerResult.dropped(MALFORMED)
+            return MALFORMED
         if (rreq.source_id, rreq.request_id) in self.seen_requests:
-            return HandlerResult.dropped(DUPLICATE)
+            return DUPLICATE
+        if rreq.source_id not in self.publics:
+            return MALFORMED
         if not verify_reveal(self.publics[rreq.source_id], *rreq.verifier):
-            return HandlerResult.dropped(BAD_VERIFIER)
+            return BAD_VERIFIER
+        return None
+
+    def handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> HandlerResult:
+        """Intermediate-node RREQ processing: verify, credit, append, forward."""
+        if (drop := self._admit(rreq)) is not None:
+            return HandlerResult.dropped(drop)
         if self.mode == BASELINE:
             # Signature-everywhere baseline: check every accumulated hop tag
             # at every node. Uncharged here so flood timing stays comparable;
@@ -250,6 +265,8 @@ class NodeState:
                                          hop_digest(rreq, k),
                                          rreq.hop_tags[k]):
                     return HandlerResult.dropped(BAD_HOP_TAG)
+        if rreq.dest_id not in self.publics:
+            return HandlerResult.dropped(MALFORMED)
         self._credit(prev_hop, FORWARDED)
         forwarded = Rreq(source_id=rreq.source_id, dest_id=rreq.dest_id,
                          request_id=rreq.request_id, source_tag=rreq.source_tag,
@@ -266,14 +283,8 @@ class NodeState:
                                    now: float) -> HandlerResult:
         """Destination pipeline: source verifier and MAC always; hop tags
         selectively (LARARP) or exhaustively (baseline/full_verification)."""
-        try:
-            rreq.validate()
-        except messages.EncodingError:
-            return HandlerResult.dropped(MALFORMED)
-        if (rreq.source_id, rreq.request_id) in self.seen_requests:
-            return HandlerResult.dropped(DUPLICATE)
-        if not verify_reveal(self.publics[rreq.source_id], *rreq.verifier):
-            return HandlerResult.dropped(BAD_VERIFIER)
+        if (drop := self._admit(rreq)) is not None:
+            return HandlerResult.dropped(drop)
         if not verify_tag(self.key(rreq.source_id), rreq.request_id,
                           rreq.source_tag):
             return HandlerResult.dropped(BAD_SOURCE_MAC)
@@ -282,8 +293,9 @@ class NodeState:
         cfg = self.config
         for k, node in enumerate(rreq.node_list):
             if self.mode == LARARP:
-                cc = self.ntt.get(node)
-                well_behaving = cc >= cfg.credit_threshold
+                # a node with no key chain is never trusted
+                well_behaving = (node in self.publics and self.ntt.get(node)
+                                 >= cfg.credit_threshold)
                 if well_behaving and not cfg.full_verification:
                     continue
             else:
@@ -322,6 +334,8 @@ class NodeState:
         neighbors = self.neighbors_fn(self.id)
         if toward_dest not in neighbors or toward_src not in neighbors:
             return HandlerResult.dropped(NOT_IN_ROUTE)
+        if rrep.dest_id not in self.publics:
+            return HandlerResult.dropped(MALFORMED)
         charged = 1
         self._count_checks(1)
         body = rrep_body(rrep)

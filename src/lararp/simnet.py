@@ -19,7 +19,7 @@ from . import crypto, protocol
 from .adversary import (Attacker, AttackerProfile, CONTROL_FLOOD, KINDS,
                         TAMPER_FIELDS)
 from .eventlog import Record
-from .messages import DataPacket, REQUEST_ID_LEN, Rrep, Rreq, wire_size
+from .messages import DataPacket, Rrep, Rreq, wire_size
 from .metrics import MetricsCollector, MetricsReport
 from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
                        LinkBreak, NodeState, ProtocolConfig, Unicast,
@@ -180,9 +180,6 @@ class MobilityState:
         self.speed = [0.0] * n
         self.paused_until = [config.pause_time] * n
         self._nbr_cache: dict[int, list[int]] | None = None
-
-    def position(self, node: int) -> tuple[float, float]:
-        return self.x[node], self.y[node]
 
     def distance(self, a: int, b: int) -> float:
         return math.hypot(self.x[a] - self.x[b], self.y[a] - self.y[b])
@@ -387,10 +384,6 @@ class Simulation:
         self._finalize()
         return self.collector.report()
 
-    def event_log_text(self) -> str:
-        from .eventlog import format_log
-        return format_log(self.records)
-
     # -- traffic ----------------------------------------------------------
 
     def _flow_tick(self, flow: _Flow, now: float):
@@ -423,20 +416,10 @@ class Simulation:
 
     def _flood_tick(self, node_id: int, now: float):
         attacker = self.attackers[node_id]
-        node = self.nodes[node_id]
-        rng = attacker.rng
-        dest = rng.randrange(self.config.node_count - 1)
+        dest = attacker.rng.randrange(self.config.node_count - 1)
         if dest >= node_id:
             dest += 1
-        if node.keychain.remaining() == 0:
-            node.keychain = crypto.generate_keychain(
-                rng.randbytes(16), node.config.chain_length, owner=node_id)
-            node.publics[node_id] = node.keychain.publics
-        request_id = rng.randbytes(REQUEST_ID_LEN)
-        rreq = Rreq(source_id=node_id, dest_id=dest, request_id=request_id,
-                    source_tag=crypto.compute_tag(node.key(dest), request_id),
-                    verifier=crypto.reveal_next(node.keychain))
-        node.seen_requests.add((node_id, request_id))
+        rreq = self.nodes[node_id].new_rreq(dest, attacker.rng)
         self._broadcast(node_id, rreq, now)
         self._push(now + 1.0 / attacker.profile.flood_rate, self._FLOOD,
                    node_id)
@@ -451,11 +434,9 @@ class Simulation:
         return delay
 
     def _log_control_send(self, sender: int, message):
-        if isinstance(message, Rreq):
-            self._emit(self.now, sender, "control-send", msg="rreq",
-                       src=message.source_id, dst=message.dest_id)
-        elif isinstance(message, Rrep):
-            self._emit(self.now, sender, "control-send", msg="rrep",
+        if isinstance(message, (Rreq, Rrep)):
+            self._emit(self.now, sender, "control-send",
+                       msg=type(message).__name__.lower(),
                        src=message.source_id, dst=message.dest_id)
 
     def _broadcast(self, sender: int, message, now: float):

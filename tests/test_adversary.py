@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import World
-from lararp.adversary import (Attacker, AttackerProfile, TAMPER_FIELDS,
-                              mutate_field)
+from lararp.adversary import (Attacker, AttackerProfile, KINDS,
+                              TAMPER_FIELDS, mutate_field)
 from lararp.messages import Rreq
 from lararp.simnet import ScenarioConfig, run
 
@@ -155,3 +155,27 @@ def test_mutate_field_unknown_target():
     rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
     with pytest.raises(ValueError):
         mutate_field(rreq, "nonexistent", random.Random(0))
+
+
+ATTACKS = [(kind, field) for kind in KINDS
+           for field in (TAMPER_FIELDS if kind == "tamper"
+                         else ("node_list",))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("protocol", ["lararp", "baseline"])
+@pytest.mark.parametrize("kind,field", ATTACKS)
+def test_every_attack_runs_to_completion(kind, field, protocol, seed):
+    # attackers never crash a run, never lose a packet from the books, and
+    # never get a fabricated id into an issued or accepted route
+    config = ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
+                            sim_time=4.0, flow_count=4, attacker_count=4,
+                            attacker_kind=kind, tamper_field=field,
+                            protocol=protocol, seed=seed)
+    report, records = run(config, keep_log=True)
+    assert report.data_in_flight >= 0
+    assert report.data_sent == (report.data_delivered + report.data_dropped
+                                + report.data_lost + report.data_in_flight)
+    for record in records:
+        if record.kind in ("rrep-issued", "route-accept"):
+            assert set(_route(record)) <= set(range(20))

@@ -138,11 +138,19 @@ def test_tag_never_verifies_under_other_key():
 
 
 def test_shared_key_table_symmetry_and_coverage():
-    table = SharedKeyTable.derive(b"\x09" * 16, range(6))
+    master = b"\x09" * 16
+    table = SharedKeyTable.derive(master, range(6))
     assert len(table) == 15
     for a in range(6):
         for b in range(6):
             if a != b:
                 assert table.key(a, b) == table.key(b, a)
+                lo, hi = min(a, b), max(a, b)
+                assert table.key(a, b) == owf(
+                    b"pair", master + lo.to_bytes(4, "big")
+                    + hi.to_bytes(4, "big"))
     with pytest.raises(KeyError):
         table.key(2, 2)
+    for outsider in (6, -1, 0x7FFF0000):
+        with pytest.raises(KeyError):
+            table.key(0, outsider)

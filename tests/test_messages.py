@@ -149,5 +149,9 @@ def test_wire_size_data_is_payload():
     rng = random.Random(13)
     d = make_data(rng)
     assert wire_size(d) == d.payload_size
-    m = make_rreq(rng)
-    assert wire_size(m) == len(encode(m))
+    for hops in range(6):
+        m = make_rreq(rng, hops=hops)
+        assert wire_size(m) == len(encode(m))
+        for traversed in range(hops + 1):
+            m = make_rrep(rng, hops=hops, traversed=traversed)
+            assert wire_size(m) == len(encode(m))

@@ -50,19 +50,10 @@ def test_empty_denominators_are_none():
     assert report.control_overhead is None
 
 
-def test_ratio_functions_raise_on_empty():
-    from lararp.metrics import (average_end_to_end_delay, control_overhead,
-                                packet_delivery_ratio)
-    with pytest.raises(ValueError):
-        packet_delivery_ratio([])
-    with pytest.raises(ValueError):
-        average_end_to_end_delay([])
-    with pytest.raises(ValueError):
-        control_overhead([])
-    # the functions agree with the folded report when defined
-    records = synthetic_records(sent=10, delivered=5, control=4)
-    assert packet_delivery_ratio(records) == 0.5
-    assert control_overhead(records) == 0.8
+def test_fold_ratios_on_synthetic_records():
+    report = fold(synthetic_records(sent=10, delivered=5, control=4))
+    assert report.pdr == 0.5
+    assert report.control_overhead == 0.8
 
 
 def test_one_hop_delay_oracle_from_simulation():

@@ -5,9 +5,10 @@ from lararp.crypto import verify_reveal, verify_tag
 from lararp.messages import DataPacket, hop_digest
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
                              BAD_VERIFIER, Broadcast, Deliver, DUPLICATE,
-                             FORWARDED, LINK_BREAK, LinkBreak, MISBEHAVED,
-                             NOT_IN_ROUTE, NeighborTrustTable, PROHIBITED,
-                             REPLAY, Unicast, Unroutable, update_credit)
+                             FORWARDED, LINK_BREAK, LinkBreak, MALFORMED,
+                             MISBEHAVED, NOT_IN_ROUTE, NeighborTrustTable,
+                             PROHIBITED, REPLAY, Unicast, Unroutable,
+                             update_credit)
 
 
 # -- discovery construction -------------------------------------------------
@@ -146,6 +147,13 @@ def test_tampered_rrep_route_dropped():
 
     out = world.discover(0, 4, [1, 2, 3], mutate_rrep=(0, edit))
     assert out["drop"] in (NOT_IN_ROUTE, "bad-dest-tag")
+
+    def unknown_dest(msg):
+        msg.dest_id = 99
+
+    world = World.line(5)
+    out = world.discover(0, 4, [1, 2, 3], mutate_rrep=(0, unknown_dest))
+    assert (out["dropped_at"], out["drop"]) == (2, MALFORMED)
 
 
 def test_rrep_to_node_not_in_route(line5):
@@ -300,6 +308,22 @@ def test_both_protocols_drop_tampered_rreq():
     lar = World.line(4, full_verification=True)
     out = lar.discover(0, 3, [1, 2], mutate_rreq=(0, forge))
     assert out["drop"] == BAD_HOP_TAG
+
+    # a node with no key chain is checked even by selective verification
+    def fabricate(msg):
+        msg.node_list[0] = 0x7FFF0000
+
+    lar = World.line(4)
+    out = lar.discover(0, 3, [1, 2], mutate_rreq=(0, fabricate))
+    assert (out["dropped_at"], out["drop"]) == (3, BAD_HOP_TAG)
+
+    # an unknown source or destination is malformed at the first hop
+    for mode in ("lararp", "baseline"):
+        for fieldname in ("source_id", "dest_id"):
+            world = World.line(4, mode=mode)
+            rreq = world.nodes[0].initiate_route_discovery(3, 0.0, world.rng)
+            setattr(rreq, fieldname, 99)
+            assert world.nodes[1].handle_rreq(rreq, 0, 0.0).drop == MALFORMED
 
 
 def test_selective_verification_equivalence():

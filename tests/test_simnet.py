@@ -84,14 +84,20 @@ def test_different_seeds_differ():
     assert r1 != r2
 
 
-# sha256 of format_log: the criterion-8 run, and a 300-node run at the
-# default density with nodes that never pause
+# sha256 of format_log: the criterion-8 run, a 300-node run at the default
+# density with nodes that never pause, the criterion-8 run under the
+# baseline, and a 40-node run with replay attackers
 GOLDEN_LOGS = [
     (dict(attacker_count=5),
      "08f8fdade645c324183556ea80fba31b045aa087ce3540715f175616086d858c"),
     (dict(node_count=300, area_width=1732.0, area_height=1732.0,
           sim_time=10.0, pause_time=0.0, attacker_count=5, seed=5),
      "6e814accdba14f7cdcf3955b30a3d1bcc61aa693707215d7eb54195df38cd0a5"),
+    (dict(attacker_count=5, protocol="baseline"),
+     "6a167c25329d4eb85788d49d49c57b1b31c189f5e03d08ec242b5c7f24b0d517"),
+    (dict(node_count=40, area_width=632.0, area_height=632.0, sim_time=20.0,
+          attacker_count=3, attacker_kind="replay", seed=4),
+     "54bd50d4fb2542e54795c0d0b560c2d01e18e7440e32e045172ee3395e9bbbcc"),
 ]
 
 
