@@ -7,8 +7,6 @@ checked against each other exactly.
 
 from dataclasses import dataclass, field
 
-from .eventlog import Record
-
 
 @dataclass
 class MetricsReport:
@@ -40,28 +38,28 @@ class MetricsCollector:
         self.hop_tag_checks = 0
         self.hop_tag_checks_at_dest = 0
 
-    def observe(self, rec: Record):
-        kind = rec.kind
+    def observe(self, kind: str, details: dict):
+        """Fold one record, given as its kind and details."""
         if kind == "data-sent":
             self.data_sent += 1
         elif kind == "data-delivered":
             self.data_delivered += 1
-            self.delay_sum += rec.details["delay"]
+            self.delay_sum += details["delay"]
         elif kind == "data-dropped":
             self.data_dropped += 1
-            reason = rec.details["reason"]
+            reason = details["reason"]
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
         elif kind == "data-lost":
             self.data_lost += 1
         elif kind == "control-send":
             self.control_packets += 1
         elif kind == "drop":
-            reason = rec.details["reason"]
+            reason = details["reason"]
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
         elif kind == "hop-tag-verify":
-            n = rec.details["n"]
+            n = details["n"]
             self.hop_tag_checks += n
-            if rec.details["role"] == "dest":
+            if details["role"] == "dest":
                 self.hop_tag_checks_at_dest += n
 
     def report(self) -> MetricsReport:
@@ -89,6 +87,6 @@ class MetricsCollector:
 def fold(records) -> MetricsReport:
     collector = MetricsCollector()
     for rec in records:
-        collector.observe(rec)
+        collector.observe(rec.kind, rec.details)
     return collector.report()
 

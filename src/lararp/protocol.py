@@ -192,7 +192,9 @@ class NodeState:
             self.log("route-invalidated", dest=dest, reason=reason)
 
     def _credit(self, neighbor: int, event: str):
-        if self.mode != LARARP or neighbor is None:
+        # ids outside the network (a tampered node_list can name them, and
+        # None is no hop at all) have no trust entry to reward or punish
+        if self.mode != LARARP or neighbor not in self.publics:
             return
         cc = update_credit(self.ntt, neighbor, event, self.config.punish_delta)
         self.log("credit", neighbor=neighbor, event=event, cc=cc)

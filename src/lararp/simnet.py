@@ -2,6 +2,11 @@
 radio with bandwidth-delay timing, CBR traffic, and the event loop that
 drives protocol handlers and attacker shims.
 
+One transmission is one event: a broadcast or unicast pushes a single
+arrival entry naming its receivers (the sender's neighbour row at send
+time, or the one unicast receiver), and the loop hands the message to each
+receiver in turn, in ascending id order.
+
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
 traffic, and attacker placement draw from streams independent of the
@@ -185,7 +190,8 @@ class MobilityState:
         return math.hypot(self.x[a] - self.x[b], self.y[a] - self.y[b])
 
     def neighbors(self, node: int) -> list[int]:
-        """Ids within radio range of node, ascending (hence deterministic)."""
+        """Ids within radio range of node, ascending (hence deterministic).
+        A returned row is never mutated; queued transmissions hold it."""
         if self._nbr_cache is None:
             self._nbr_cache = {}
             self._xs = np.array(self.x)
@@ -338,10 +344,10 @@ class Simulation:
         return log
 
     def _emit(self, time, node, kind, **details):
-        rec = Record(time=time, node=node, kind=kind, details=details)
-        self.collector.observe(rec)
+        self.collector.observe(kind, details)
         if self.keep_log:
-            self.records.append(rec)
+            self.records.append(Record(time=time, node=node, kind=kind,
+                                       details=details))
 
     def _push(self, time, kind, *data):
         heapq.heappush(self._heap, (time, self._ordinal, kind, data))
@@ -373,7 +379,9 @@ class Simulation:
             elif kind == self._FLOW:
                 self._flow_tick(self.flows[data[0]], time)
             elif kind == self._ARRIVE:
-                self._arrival(data[0], data[1], data[2], time)
+                sender, receivers, message = data
+                for receiver in receivers:
+                    self._arrival(sender, receiver, message, time)
             elif kind == self._TIMER:
                 self._timer(data[0], time)
             elif kind == self._INJECT:
@@ -443,8 +451,8 @@ class Simulation:
         self._log_control_send(sender, message)
         arrival = (now + wire_size(message) * 8.0 / self.config.bandwidth
                    + self._processing_delay(sender))
-        for nb in self.mobility.neighbors(sender):
-            self._push(arrival, self._ARRIVE, sender, nb, message)
+        self._push(arrival, self._ARRIVE, sender,
+                   self.mobility.neighbors(sender), message)
 
     def _unicast(self, sender: int, receiver: int, message, now: float,
                  extra_delay: float = 0.0):
@@ -457,7 +465,7 @@ class Simulation:
         arrival = (now + extra_delay
                    + wire_size(message) * 8.0 / self.config.bandwidth
                    + self._processing_delay(sender))
-        self._push(arrival, self._ARRIVE, sender, receiver, message)
+        self._push(arrival, self._ARRIVE, sender, (receiver,), message)
 
     # -- event handling ---------------------------------------------------
 
@@ -519,7 +527,8 @@ class Simulation:
                 self._emit(now, receiver, "drop",
                            msg=type(message).__name__.lower(),
                            reason=result.drop)
-        self._apply(receiver, message, result, now)
+        if result.actions:
+            self._apply(receiver, message, result, now)
 
     def _apply(self, node_id: int, inbound, result: HandlerResult, now: float):
         extra = result.charged * self.config.tag_verify_cost

@@ -166,8 +166,9 @@ ATTACKS = [(kind, field) for kind in KINDS
 @pytest.mark.parametrize("protocol", ["lararp", "baseline"])
 @pytest.mark.parametrize("kind,field", ATTACKS)
 def test_every_attack_runs_to_completion(kind, field, protocol, seed):
-    # attackers never crash a run, never lose a packet from the books, and
-    # never get a fabricated id into an issued or accepted route
+    # attackers never crash a run, never lose a packet from the books, never
+    # get a fabricated id into an issued or accepted route, and never get
+    # one into a trust table
     config = ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
                             sim_time=4.0, flow_count=4, attacker_count=4,
                             attacker_kind=kind, tamper_field=field,
@@ -179,3 +180,5 @@ def test_every_attack_runs_to_completion(kind, field, protocol, seed):
     for record in records:
         if record.kind in ("rrep-issued", "route-accept"):
             assert set(_route(record)) <= set(range(20))
+        elif record.kind in ("credit", "ntt-final"):
+            assert record.details["neighbor"] in range(20)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -137,6 +138,10 @@ def test_run_sweep_row_counts_and_order(tmp_path):
     assert len(rows) == 1 + 20 + 10
     seed_col = CSV_COLUMNS.index("seed")
     assert all(r[seed_col] == "mean" for r in rows[-10:])
+    # the CSV is byte-identical from commit to commit unless a change to
+    # behaviour is meant and recorded
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "124daa6a08a264334ffb6e13e3f99bcd31983ec03ae51c96d7612a2c8c73b08c")
     # per-run rows reproduce an independent execution of the same config
     report, _ = run(configs[0])
     assert rows[1] == csv_row(configs[0], report)

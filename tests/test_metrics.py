@@ -90,7 +90,7 @@ def test_streaming_collector_matches_fold():
                      keep_log=True)
     collector = MetricsCollector()
     for record in records:
-        collector.observe(record)
+        collector.observe(record.kind, record.details)
     assert collector.report() == fold(records)
 
 

@@ -86,7 +86,11 @@ def test_different_seeds_differ():
 
 # sha256 of format_log: the criterion-8 run, a 300-node run at the default
 # density with nodes that never pause, the criterion-8 run under the
-# baseline, and a 40-node run with replay attackers
+# baseline, and 40-node runs with replay, request_id-tampering (malformed
+# RREQs beside duplicates), rushing (zero processing delay, so arrival
+# times tie) and control-flood attackers
+GOLDEN_40 = dict(node_count=40, area_width=632.0, area_height=632.0,
+                 sim_time=20.0, attacker_count=3, seed=4)
 GOLDEN_LOGS = [
     (dict(attacker_count=5),
      "08f8fdade645c324183556ea80fba31b045aa087ce3540715f175616086d858c"),
@@ -95,9 +99,14 @@ GOLDEN_LOGS = [
      "6e814accdba14f7cdcf3955b30a3d1bcc61aa693707215d7eb54195df38cd0a5"),
     (dict(attacker_count=5, protocol="baseline"),
      "6a167c25329d4eb85788d49d49c57b1b31c189f5e03d08ec242b5c7f24b0d517"),
-    (dict(node_count=40, area_width=632.0, area_height=632.0, sim_time=20.0,
-          attacker_count=3, attacker_kind="replay", seed=4),
+    (dict(GOLDEN_40, attacker_kind="replay"),
      "54bd50d4fb2542e54795c0d0b560c2d01e18e7440e32e045172ee3395e9bbbcc"),
+    (dict(GOLDEN_40, attacker_kind="tamper", tamper_field="request_id"),
+     "8eceaf42323508ae57bf6572299782658db16ce1f5e53824f55e61af9167e69e"),
+    (dict(GOLDEN_40, attacker_kind="rushing"),
+     "02f9daa3b9c933e7dd7563151ce04a6cc9ceffecfde4fde5e4cff4c3225cf449"),
+    (dict(GOLDEN_40, attacker_kind="controlflood"),
+     "5e283854988820cdc344f9ee661361bf6f56bee3d646515ba8687561f6ce9898"),
 ]
 
 
@@ -230,7 +239,35 @@ def test_broadcast_reaches_all_neighbors():
     rreq = sim.nodes[0].initiate_route_discovery(1, 0.0, sim.rng_protocol)
     before = len(sim._heap)
     sim._broadcast(0, rreq, 0.0)
-    assert len(sim._heap) - before == 3
+    # one transmission is one event, naming every receiver
+    assert len(sim._heap) - before == 1
+    _, _, kind, (sender, receivers, message) = max(sim._heap,
+                                                  key=lambda e: e[1])
+    assert kind == Simulation._ARRIVE
+    assert (sender, list(receivers), message) == (0, [1, 2, 3], rreq)
+
+
+def test_range_checked_per_receiver_at_arrival():
+    # a queued broadcast names the receivers in range when it was sent, but
+    # each one is checked against the radio range when it arrives
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(0, 0), (100, 0), (0, 100), (100, 100)],
+                         flows=[(1, 2)], flow_count=1, pause_time=100.0,
+                         sim_time=0.01)
+    sim = Simulation(cfg, keep_log=True)
+    rreq = sim.nodes[0].new_rreq(3, sim.rng_protocol)
+    sim._broadcast(0, rreq, 0.0)
+    (arrival, *_), = sim._heap
+    sim.mobility.x[3] = 500.0    # node 3 leaves range before the arrival
+    sim.mobility._nbr_cache = None
+    sim.run()
+    at_arrival = [r for r in sim.records if r.time == arrival]
+    lost = [r for r in at_arrival if r.kind == "control-lost"]
+    assert [(r.node, r.details["msg"]) for r in lost] == [(3, "rreq")]
+    # nodes 1 and 2 still get the request, and each rebroadcasts it
+    assert {r.node for r in at_arrival if r not in lost} == {1, 2}
+    assert sorted(r.node for r in at_arrival
+                  if r.kind == "control-send") == [1, 2]
 
 
 def test_in_flight_loss_when_receiver_moves_away():
