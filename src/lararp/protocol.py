@@ -432,12 +432,10 @@ class NodeState:
                      now: float) -> HandlerResult:
         """Source-route a data packet one hop, deliver it, or report a
         broken link back to the source."""
-        if self.id == packet.dest_id:
-            if self.config.credit_data_forwarding:
-                self._credit(prev_hop, FORWARDED)
-            return HandlerResult(actions=[Deliver(packet)])
-        if prev_hop is not None and self.config.credit_data_forwarding:
+        if self.config.credit_data_forwarding:
             self._credit(prev_hop, FORWARDED)
+        if self.id == packet.dest_id:
+            return HandlerResult(actions=[Deliver(packet)])
         route = packet.route
         if self.id == packet.source_id:
             next_hop = route[0] if route else packet.dest_id

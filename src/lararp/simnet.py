@@ -2,10 +2,12 @@
 radio with bandwidth-delay timing, CBR traffic, and the event loop that
 drives protocol handlers and attacker shims.
 
-One transmission is one event: a broadcast or unicast pushes a single
-arrival entry naming its receivers (the sender's neighbour row at send
-time, or the one unicast receiver), and the loop hands the message to each
-receiver in turn, in ascending id order.
+An event is a handler call: a heap entry is ``(time, ordinal, handler,
+args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
+time ties in push order. One transmission is one event: a broadcast or
+unicast pushes a single ``_transmission`` naming its receivers (the
+sender's neighbour row at send time, or the one unicast receiver), which
+hands the message to each receiver in turn, in ascending id order.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -104,24 +106,12 @@ class ScenarioConfig:
             raise ScenarioError("rreq_retries must be nonnegative")
 
     def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            credit_threshold=self.credit_threshold,
-            initial_credit=self.initial_credit,
-            punish_delta=self.punish_delta,
-            rreq_timeout=self.rreq_timeout,
-            rreq_retries=self.rreq_retries,
-            full_verification=self.full_verification,
-            credit_data_forwarding=self.credit_data_forwarding,
-            chain_length=self.chain_length)
+        return ProtocolConfig(**{f.name: getattr(self, f.name)
+                                 for f in fields(ProtocolConfig)})
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
                     if f.name not in ("flows", "positions")}
-_BOOL_FIELDS = {"full_verification", "credit_data_forwarding"}
-_INT_FIELDS = {"node_count", "packet_size", "flow_count", "attacker_count",
-               "seed", "credit_threshold", "initial_credit", "punish_delta",
-               "rreq_retries", "chain_length"}
-_STR_FIELDS = {"attacker_kind", "tamper_field", "protocol"}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -136,17 +126,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SCENARIO_FIELDS:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        ftype = _SCENARIO_FIELDS[key]
         try:
-            if key in _BOOL_FIELDS:
+            if ftype is bool:
                 if value not in ("true", "false"):
                     raise ValueError("expected true or false")
                 values[key] = value == "true"
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
-            elif key in _STR_FIELDS:
-                values[key] = value
             else:
-                values[key] = float(value)
+                values[key] = ftype(value)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: key {key!r}: {exc}") from exc
     config = ScenarioConfig(**values)
@@ -186,8 +173,11 @@ class MobilityState:
         self.paused_until = [config.pause_time] * n
         self._nbr_cache: dict[int, list[int]] | None = None
 
-    def distance(self, a: int, b: int) -> float:
-        return math.hypot(self.x[a] - self.x[b], self.y[a] - self.y[b])
+    def in_range(self, a: int, b: int) -> bool:
+        """Whether a and b are within radio range; rounds as the numpy
+        neighbour rows do, so it agrees with neighbors() at the boundary."""
+        dx, dy = self.x[a] - self.x[b], self.y[a] - self.y[b]
+        return dx * dx + dy * dy <= self.config.radio_range ** 2
 
     def neighbors(self, node: int) -> list[int]:
         """Ids within radio range of node, ascending (hence deterministic).
@@ -250,9 +240,6 @@ class _Flow:
 
 class Simulation:
     """One deterministic run of a scenario."""
-
-    # event kinds, dispatched in _run loop
-    _MOB, _FLOW, _ARRIVE, _TIMER, _INJECT, _FLOOD = range(6)
 
     def __init__(self, config: ScenarioConfig, keep_log: bool = False):
         config.validate()
@@ -349,48 +336,42 @@ class Simulation:
             self.records.append(Record(time=time, node=node, kind=kind,
                                        details=details))
 
-    def _push(self, time, kind, *data):
-        heapq.heappush(self._heap, (time, self._ordinal, kind, data))
+    def _push(self, time, handler, *args):
+        """Schedule handler(*args, time); (time, ordinal) is unique, so the
+        handler is never compared."""
+        heapq.heappush(self._heap, (time, self._ordinal, handler, args))
         self._ordinal += 1
 
     # -- run --------------------------------------------------------------
 
     def run(self) -> MetricsReport:
         cfg = self.config
-        self._push(cfg.mobility_tick, self._MOB)
+        self._push(cfg.mobility_tick, self._mobility_tick)
         interval = 1.0 / cfg.flow_rate
         for f in self.flows:
             self._push(self.rng_traffic.uniform(0.0, interval),
-                       self._FLOW, f.index)
+                       self._flow_tick, f)
         for i, attacker in sorted(self.attackers.items()):
             if attacker.profile.kind == CONTROL_FLOOD:
                 self._push(self.rng_traffic.uniform(
-                    0.0, 1.0 / attacker.profile.flood_rate), self._FLOOD, i)
+                    0.0, 1.0 / attacker.profile.flood_rate),
+                    self._flood_tick, i)
 
         while self._heap:
-            time, _, kind, data = heapq.heappop(self._heap)
+            time, _, handler, args = heapq.heappop(self._heap)
             if time > cfg.sim_time:
                 break
             self.now = time
-            if kind == self._MOB:
-                step_mobility(self.mobility, cfg.mobility_tick,
-                              self.rng_mobility)
-                self._push(time + cfg.mobility_tick, self._MOB)
-            elif kind == self._FLOW:
-                self._flow_tick(self.flows[data[0]], time)
-            elif kind == self._ARRIVE:
-                sender, receivers, message = data
-                for receiver in receivers:
-                    self._arrival(sender, receiver, message, time)
-            elif kind == self._TIMER:
-                self._timer(data[0], time)
-            elif kind == self._INJECT:
-                self._broadcast(data[0], data[1], time)
-            elif kind == self._FLOOD:
-                self._flood_tick(data[0], time)
+            handler(*args, time)
 
         self._finalize()
         return self.collector.report()
+
+    def _mobility_tick(self, now: float):
+        # called through the module global, which the traced benchmark patches
+        step_mobility(self.mobility, self.config.mobility_tick,
+                      self.rng_mobility)
+        self._push(now + self.config.mobility_tick, self._mobility_tick)
 
     # -- traffic ----------------------------------------------------------
 
@@ -404,23 +385,21 @@ class Simulation:
         self._emit(now, flow.src, "data-sent", flow=flow.index,
                    seq=packet.seq, dst=flow.dst)
         self._originate(flow.src, packet, now)
-        self._push(now + 1.0 / cfg.flow_rate, self._FLOW, flow.index)
+        self._push(now + 1.0 / cfg.flow_rate, self._flow_tick, flow)
 
     def _originate(self, src: int, packet: DataPacket, now: float):
+        # a valid route always has an empty buffer (every accepted route
+        # flushes it at once), so the flush sends just this packet
         node = self.nodes[src]
         dest = packet.dest_id
+        self.buffers[src].setdefault(dest, []).append(packet)
         if node.has_route(dest):
-            packet.route = list(node.routes[dest].route)
-            result = node.forward_data(packet, None, now)
-            self._apply(src, packet, result, now)
-        else:
-            self.buffers[src].setdefault(dest, []).append(packet)
-            if dest not in node.pending:
-                rreq = node.initiate_route_discovery(dest, now,
-                                                     self.rng_protocol)
-                if rreq is not None:
-                    self._broadcast(src, rreq, now)
-                    self._push(now + node.config.rreq_timeout, self._TIMER, src)
+            self._flush_buffer(src, dest, now)
+        elif dest not in node.pending:
+            rreq = node.initiate_route_discovery(dest, now, self.rng_protocol)
+            if rreq is not None:
+                self._broadcast(src, rreq, now)
+                self._push(now + node.config.rreq_timeout, self._timer, src)
 
     def _flood_tick(self, node_id: int, now: float):
         attacker = self.attackers[node_id]
@@ -429,48 +408,44 @@ class Simulation:
             dest += 1
         rreq = self.nodes[node_id].new_rreq(dest, attacker.rng)
         self._broadcast(node_id, rreq, now)
-        self._push(now + 1.0 / attacker.profile.flood_rate, self._FLOOD,
+        self._push(now + 1.0 / attacker.profile.flood_rate, self._flood_tick,
                    node_id)
 
     # -- radio ------------------------------------------------------------
 
-    def _processing_delay(self, sender: int) -> float:
+    def _send(self, sender: int, receivers, message, now: float):
+        """Put message on the air at now: one event reaches every receiver
+        after serialization plus the sender's processing delay."""
+        if not isinstance(message, DataPacket):
+            self._emit(self.now, sender, "control-send",
+                       msg=type(message).__name__.lower(),
+                       src=message.source_id, dst=message.dest_id)
         delay = self.config.processing_delay
         attacker = self.attackers.get(sender)
         if attacker is not None:
             delay = attacker.processing_delay(delay)
-        return delay
-
-    def _log_control_send(self, sender: int, message):
-        if isinstance(message, (Rreq, Rrep)):
-            self._emit(self.now, sender, "control-send",
-                       msg=type(message).__name__.lower(),
-                       src=message.source_id, dst=message.dest_id)
+        self._push(now + wire_size(message) * 8.0 / self.config.bandwidth
+                   + delay, self._transmission, sender, receivers, message)
 
     def _broadcast(self, sender: int, message, now: float):
-        self._log_control_send(sender, message)
-        arrival = (now + wire_size(message) * 8.0 / self.config.bandwidth
-                   + self._processing_delay(sender))
-        self._push(arrival, self._ARRIVE, sender,
-                   self.mobility.neighbors(sender), message)
+        self._send(sender, self.mobility.neighbors(sender), message, now)
 
-    def _unicast(self, sender: int, receiver: int, message, now: float,
-                 extra_delay: float = 0.0):
-        if isinstance(message, (Rreq, Rrep)):
-            if self.mobility.distance(sender, receiver) > self.config.radio_range:
-                self._emit(now, sender, "control-lost",
-                           msg=type(message).__name__.lower())
-                return
-            self._log_control_send(sender, message)
-        arrival = (now + extra_delay
-                   + wire_size(message) * 8.0 / self.config.bandwidth
-                   + self._processing_delay(sender))
-        self._push(arrival, self._ARRIVE, sender, (receiver,), message)
+    def _unicast(self, sender: int, receiver: int, message, now: float):
+        if (not isinstance(message, DataPacket)
+                and not self.mobility.in_range(sender, receiver)):
+            self._emit(self.now, sender, "control-lost",
+                       msg=type(message).__name__.lower())
+            return
+        self._send(sender, (receiver,), message, now)
 
     # -- event handling ---------------------------------------------------
 
+    def _transmission(self, sender: int, receivers, message, now: float):
+        for receiver in receivers:
+            self._arrival(sender, receiver, message, now)
+
     def _arrival(self, sender: int, receiver: int, message, now: float):
-        if self.mobility.distance(sender, receiver) > self.config.radio_range:
+        if not self.mobility.in_range(sender, receiver):
             if isinstance(message, DataPacket):
                 self._emit(now, receiver, "data-lost", flow=message.flow_id,
                            seq=message.seq)
@@ -482,7 +457,7 @@ class Simulation:
         attacker = self.attackers.get(receiver)
         if attacker is not None:
             for inject_at, copy_msg in attacker.capture(message, now):
-                self._push(inject_at, self._INJECT, receiver, copy_msg)
+                self._push(inject_at, self._broadcast, receiver, copy_msg)
 
         before_total = node.hop_tag_checks
         before_dest = node.hop_tag_checks_as_dest
@@ -528,20 +503,16 @@ class Simulation:
                            msg=type(message).__name__.lower(),
                            reason=result.drop)
         if result.actions:
-            self._apply(receiver, message, result, now)
+            self._apply(receiver, result, now)
 
-    def _apply(self, node_id: int, inbound, result: HandlerResult, now: float):
-        extra = result.charged * self.config.tag_verify_cost
-        t_eff = now + extra
+    def _apply(self, node_id: int, result: HandlerResult, now: float):
+        # charged tag checks delay whatever the node sends in response
+        t_eff = now + result.charged * self.config.tag_verify_cost
         for action in result.actions:
             if isinstance(action, Broadcast):
-                if extra:
-                    self._push(t_eff, self._INJECT, node_id, action.message)
-                else:
-                    self._broadcast(node_id, action.message, now)
+                self._broadcast(node_id, action.message, t_eff)
             elif isinstance(action, Unicast):
-                self._unicast(node_id, action.next_hop, action.message, now,
-                              extra_delay=extra)
+                self._unicast(node_id, action.next_hop, action.message, t_eff)
             elif isinstance(action, Deliver):
                 pkt = action.packet
                 self._emit(now, node_id, "data-delivered", flow=pkt.flow_id,
@@ -567,7 +538,7 @@ class Simulation:
                 continue
             packet.route = list(node.routes[dest].route)
             result = node.forward_data(packet, None, now)
-            self._apply(node_id, packet, result, now)
+            self._apply(node_id, result, now)
 
     def _drop_buffer(self, node_id: int, dest: int, now: float):
         for packet in self.buffers[node_id].pop(dest, []):
@@ -580,14 +551,14 @@ class Simulation:
         for action in actions:
             if isinstance(action, Broadcast):
                 self._broadcast(node_id, action.message, now)
-                self._push(now + node.config.rreq_timeout, self._TIMER,
+                self._push(now + node.config.rreq_timeout, self._timer,
                            node_id)
             elif isinstance(action, Unroutable):
                 self._drop_buffer(node_id, action.dest, now)
         if node.pending and not any(isinstance(a, Broadcast) for a in actions):
             # keep a wake-up alive for requests that have not timed out yet
             nxt = min(p.sent_at + p.timeout for p in node.pending.values())
-            self._push(max(nxt, now + 1e-6), self._TIMER, node_id)
+            self._push(max(nxt, now + 1e-6), self._timer, node_id)
 
     def _finalize(self):
         end = self.config.sim_time

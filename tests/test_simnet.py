@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +48,13 @@ attacker_kind = grayhole
     assert config.protocol == "baseline"
     assert config.full_verification is True
     assert config.attacker_kind == "grayhole"
+    # every key written at its default value parses back to the defaults
+    defaults = ScenarioConfig()
+    text = "".join(
+        f"{f.name} = {str(getattr(defaults, f.name)).lower()}\n"
+        if f.type is bool else f"{f.name} = {getattr(defaults, f.name)}\n"
+        for f in fields(ScenarioConfig) if f.name not in ("flows", "positions"))
+    assert parse_scenario(text) == defaults
 
 
 def test_scenario_parse_unknown_key_names_line():
@@ -86,9 +94,10 @@ def test_different_seeds_differ():
 
 # sha256 of format_log: the criterion-8 run, a 300-node run at the default
 # density with nodes that never pause, the criterion-8 run under the
-# baseline, and 40-node runs with replay, request_id-tampering (malformed
+# baseline, 40-node runs with replay, request_id-tampering (malformed
 # RREQs beside duplicates), rushing (zero processing delay, so arrival
-# times tie) and control-flood attackers
+# times tie) and control-flood attackers, and a static 50-node data plane
+# (route-accept flushes and origination on a known route)
 GOLDEN_40 = dict(node_count=40, area_width=632.0, area_height=632.0,
                  sim_time=20.0, attacker_count=3, seed=4)
 GOLDEN_LOGS = [
@@ -107,6 +116,9 @@ GOLDEN_LOGS = [
      "02f9daa3b9c933e7dd7563151ce04a6cc9ceffecfde4fde5e4cff4c3225cf449"),
     (dict(GOLDEN_40, attacker_kind="controlflood"),
      "5e283854988820cdc344f9ee661361bf6f56bee3d646515ba8687561f6ce9898"),
+    (dict(node_count=50, area_width=707.1, area_height=707.1, sim_time=10.0,
+          pause_time=10.0, flow_count=30, flow_rate=20.0, seed=1),
+     "e31f69e19cd343c7558a27f2a7ae548b5da9d5753cc9d311357249dadaa6dd12"),
 ]
 
 
@@ -140,7 +152,7 @@ def test_neighbor_symmetry_random_placements():
         for b in range(cfg.node_count):
             if a == b:
                 continue
-            expected = mob.distance(a, b) <= cfg.radio_range
+            expected = mob.in_range(a, b)
             assert (b in mob.neighbors(a)) == expected
             assert (a in mob.neighbors(b)) == (b in mob.neighbors(a))
 
@@ -241,9 +253,9 @@ def test_broadcast_reaches_all_neighbors():
     sim._broadcast(0, rreq, 0.0)
     # one transmission is one event, naming every receiver
     assert len(sim._heap) - before == 1
-    _, _, kind, (sender, receivers, message) = max(sim._heap,
-                                                  key=lambda e: e[1])
-    assert kind == Simulation._ARRIVE
+    _, _, handler, (sender, receivers, message) = max(sim._heap,
+                                                     key=lambda e: e[1])
+    assert handler == sim._transmission
     assert (sender, list(receivers), message) == (0, [1, 2, 3], rreq)
 
 
@@ -268,6 +280,27 @@ def test_range_checked_per_receiver_at_arrival():
     assert {r.node for r in at_arrival if r not in lost} == {1, 2}
     assert sorted(r.node for r in at_arrival
                   if r.kind == "control-send") == [1, 2]
+
+
+@pytest.mark.parametrize("far,neighbor", [
+    ((213.57313264865948, 129.94813200134163), True),
+    ((91.67962296439045, 232.58298891601513), False)])
+def test_arrival_range_agrees_with_neighbor_rows(far, neighbor):
+    # both points lie within an ulp of radio_range from the origin, where
+    # math.hypot and the squared test of the neighbour rows disagree
+    cfg = ScenarioConfig(node_count=2, positions=[(0.0, 0.0), far],
+                         flows=[(0, 1)], flow_count=1, pause_time=100.0,
+                         sim_time=5.0)
+    sim = Simulation(cfg, keep_log=True)
+    packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=1,
+                        payload_size=512, route=[], created_at=0.0)
+    sim._arrival(0, 1, packet, 0.01)
+    delivered = [r.kind for r in sim.records].count("data-delivered") == 1
+    assert (1 in sim.mobility.neighbors(0)) == neighbor
+    assert delivered == neighbor
+    if neighbor:
+        report, _ = run(cfg)
+        assert report.data_sent > 0 and report.pdr == 1.0
 
 
 def test_in_flight_loss_when_receiver_moves_away():
