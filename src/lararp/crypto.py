@@ -4,11 +4,18 @@ All primitives produce 16-byte outputs. The one-way function is BLAKE2s
 truncated to 128 bits with a personalization label, so the chain-step
 function and the public-verifier function are distinct: revealing a chain
 secret never discloses the next verifier's preimage.
+
+Chain elements are hashed on first use. Only a node that originates route
+requests ever reveals a secret, and then only the next few, so a chain
+stores its seed and length and derives secret i (and its public verifier)
+when something asks for it. Every index in range(length) stays derivable,
+because a tampered request can name a verifier index that its source never
+revealed, and the check must still compare against the true verifier.
 """
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 SECRET_LEN = 16
 TAG_LEN = 16
@@ -26,30 +33,67 @@ def owf(label: bytes, data: bytes) -> bytes:
                            person=label.ljust(8, b"\x00")).digest()
 
 
-@dataclass
+class ChainElements(Sequence):
+    """A read-only sequence of ``length`` chain elements; element i is
+    ``element(i)``, which derives it on first use."""
+
+    def __init__(self, length: int, element):
+        self._length = length
+        self._element = element
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, index):
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("chain index out of range")
+        return self._element(index)
+
+
 class KeyChain:
-    """A source's ordered secret list with its hashed public verifier list."""
-    owner: int
-    secrets: list[bytes]
-    publics: list[bytes]
-    next_index: int = 0
+    """A source's ordered secret list with its hashed public verifier list.
+
+    ``secrets`` and ``publics`` are read-only sequences of the chain's
+    length. Secrets are hash-chained from the seed in order, up to the
+    highest index asked for; a verifier is hashed from its secret the first
+    time it is read. Both are memoised, and neither memo is sized by the
+    chain length."""
+
+    def __init__(self, owner: int, seed: bytes, length: int):
+        self.owner = owner
+        self.next_index = 0
+        self._hashed = [seed]            # the seed, then secrets 0, 1, ...
+        self._publics: dict[int, bytes] = {}
+        self.secrets = ChainElements(length, self._secret)
+        self.publics = ChainElements(length, self._public)
+
+    def _secret(self, index: int) -> bytes:
+        hashed = self._hashed
+        while len(hashed) <= index + 1:
+            hashed.append(owf(b"chain", hashed[-1]))
+        return hashed[index + 1]
+
+    def _public(self, index: int) -> bytes:
+        public = self._publics.get(index)
+        if public is None:
+            public = self._publics[index] = owf(b"public", self._secret(index))
+        return public
 
     def remaining(self) -> int:
         return len(self.secrets) - self.next_index
 
 
 def generate_keychain(seed: bytes, n: int, owner: int = 0) -> KeyChain:
-    """Build an n-element chain: secrets are hash-chained from the seed,
-    publics are one-way images of each secret under a separate label."""
+    """An n-element chain: secrets are hash-chained from the seed,
+    publics are one-way images of each secret under a separate label.
+    Nothing is hashed until an element is read."""
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if len(seed) != SECRET_LEN:
         raise ValueError("seed must be 16 bytes")
-    secrets = [owf(b"chain", seed)]
-    for _ in range(n - 1):
-        secrets.append(owf(b"chain", secrets[-1]))
-    publics = [owf(b"public", s) for s in secrets]
-    return KeyChain(owner=owner, secrets=secrets, publics=publics)
+    return KeyChain(owner, seed, n)
 
 
 def reveal_next(chain: KeyChain) -> tuple[int, bytes]:
@@ -61,7 +105,7 @@ def reveal_next(chain: KeyChain) -> tuple[int, bytes]:
     return i, chain.secrets[i]
 
 
-def verify_reveal(publics: list[bytes], index: int, secret: bytes) -> bool:
+def verify_reveal(publics: Sequence[bytes], index: int, secret: bytes) -> bool:
     """Check a revealed secret against the public verifier list.
 
     Out-of-range indices are a forgery, not a bug: returns False.

@@ -18,6 +18,7 @@ protocol choice, which makes paired LARARP/baseline runs comparable.
 import heapq
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -78,13 +79,15 @@ class ScenarioConfig:
     def validate(self):
         if self.node_count < 2:
             raise ScenarioError("node_count must be at least 2")
+        # each range test is written so that NaN fails it too
         for name in ("area_width", "area_height", "radio_range", "bandwidth",
-                     "sim_time", "flow_rate", "mobility_tick"):
-            if getattr(self, name) <= 0:
+                     "sim_time", "flow_rate", "mobility_tick", "flood_rate"):
+            if not getattr(self, name) > 0:
                 raise ScenarioError(f"{name} must be positive")
         for name in ("speed_min", "speed_max", "pause_time",
-                     "processing_delay", "tag_verify_cost", "rreq_timeout"):
-            if getattr(self, name) < 0:
+                     "processing_delay", "tag_verify_cost", "rreq_timeout",
+                     "replay_delay"):
+            if not getattr(self, name) >= 0:
                 raise ScenarioError(f"{name} must be nonnegative")
         if self.packet_size <= 0:
             raise ScenarioError("packet_size must be positive")
@@ -94,6 +97,8 @@ class ScenarioConfig:
             raise ScenarioError("attacker_count must be below node_count")
         if self.attacker_kind not in KINDS:
             raise ScenarioError(f"unknown attacker_kind {self.attacker_kind!r}")
+        if not 0 <= self.grayhole_drop_prob <= 1:
+            raise ScenarioError("grayhole_drop_prob must be in [0, 1]")
         if self.tamper_field not in TAMPER_FIELDS:
             raise ScenarioError(f"unknown tamper_field {self.tamper_field!r}")
         if self.protocol not in PROTOCOLS:
@@ -269,7 +274,7 @@ class Simulation:
         master = self.rng_setup.randbytes(crypto.SECRET_LEN)
         node_ids = list(range(config.node_count))
         shared_keys = crypto.SharedKeyTable.derive(master, node_ids)
-        publics: dict[int, list[bytes]] = {}
+        publics: dict[int, Sequence[bytes]] = {}
         pconfig = config.protocol_config()
         self.nodes: dict[int, NodeState] = {}
         for i in node_ids:

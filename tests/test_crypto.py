@@ -1,7 +1,10 @@
+import copy
 import random
 
 import pytest
 
+from conftest import World
+from lararp import crypto
 from lararp.crypto import (ChainExhausted, SharedKeyTable, compute_tag,
                            generate_keychain, owf, reveal_next, verify_reveal,
                            verify_tag)
@@ -26,9 +29,85 @@ def test_chain_soundness_recompute_oracle():
     expected = [owf(b"chain", SEED)]
     for _ in range(3):
         expected.append(owf(b"chain", expected[-1]))
-    assert chain.secrets == expected
+    assert list(chain.secrets) == expected
     for i in range(4):
         assert verify_reveal(chain.publics, i, chain.secrets[i])
+
+
+def eager_chain(seed, n):
+    """The chain computed in full: secret i+1 = owf(chain, secret i)."""
+    secrets = [owf(b"chain", seed)]
+    while len(secrets) < n:
+        secrets.append(owf(b"chain", secrets[-1]))
+    return secrets, [owf(b"public", s) for s in secrets]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("order", ["reverse", "random"])
+def test_lazy_chain_matches_eager_oracle(n, order):
+    secrets, publics = eager_chain(SEED, n)
+    indices = list(range(n))
+    if order == "reverse":
+        indices.reverse()
+    else:
+        random.Random(n).shuffle(indices)
+    for attr, expected in (("publics", publics), ("secrets", secrets)):
+        chain = generate_keychain(SEED, n)
+        assert len(getattr(chain, attr)) == n
+        for i in indices:
+            assert getattr(chain, attr)[i] == expected[i]
+            assert getattr(chain, attr)[i - n] == expected[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                getattr(chain, attr)[i]
+    # a chain walked by reveals hands out the oracle's secrets in order
+    chain = generate_keychain(SEED, n)
+    assert [reveal_next(chain) for _ in range(n)] == list(enumerate(secrets))
+
+
+def test_unrevealed_index_verifies_only_with_its_true_secret():
+    # a tampered verifier_index names an index past next_index
+    secrets, _ = eager_chain(SEED, 16)
+    chain = generate_keychain(SEED, 16)
+    index, secret = reveal_next(chain)
+    assert not verify_reveal(chain.publics, index + 1, secret)
+    assert verify_reveal(chain.publics, 9, secrets[9])
+    assert not verify_reveal(chain.publics, 9, secrets[8])
+    assert chain.next_index == 1
+
+
+def test_rollover_chain_matches_oracle():
+    world = World.line(3, chain_length=5)
+    node = world.nodes[0]
+    node.keychain.next_index = len(node.keychain.secrets)   # exhausted
+    seed = copy.deepcopy(world.rng).randbytes(16)
+    rreq = node.new_rreq(2, world.rng)
+    secrets, publics = eager_chain(seed, 5)
+    assert rreq.verifier == (0, secrets[0])
+    assert world.publics[0] is node.keychain.publics
+    assert verify_reveal(world.publics[0], *rreq.verifier)
+    assert list(world.publics[0]) == publics
+
+
+def test_huge_chain_is_built_at_once(monkeypatch):
+    # an eager build would hash 2 * 10**12 elements: fail at the 17th hash
+    real_owf = crypto.owf
+    calls = []
+
+    def bounded_owf(label, data):
+        calls.append(label)
+        assert len(calls) <= 16, "key chain hashed eagerly"
+        return real_owf(label, data)
+
+    monkeypatch.setattr(crypto, "owf", bounded_owf)
+    chain = generate_keychain(SEED, 10**12)
+    assert calls == []
+    assert len(chain.secrets) == len(chain.publics) == 10**12
+    assert chain.remaining() == 10**12
+    secrets, publics = eager_chain(SEED, 3)
+    assert chain.secrets[2] == secrets[2]
+    assert chain.publics[1] == publics[1]
+    assert verify_reveal(chain.publics, *reveal_next(chain))
 
 
 def test_no_public_collisions_across_chains():

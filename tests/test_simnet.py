@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lararp import crypto
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
@@ -74,6 +75,33 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario("tamper_field = bogus\n")
     assert "bogus" in str(exc.value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grayhole_drop_prob", 1.5), ("grayhole_drop_prob", -0.1),
+    ("flood_rate", 0), ("replay_delay", -1),
+    ("grayhole_drop_prob", "nan"), ("flood_rate", "nan"),
+    ("replay_delay", "nan"), ("sim_time", "nan")])
+def test_scenario_parse_rejects_unusable_value(key, value):
+    # attacker values are rejected even with no attackers, where
+    # Simulation would not use them; a NaN sim_time never ends a run
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
+    assert key in str(exc.value)
+
+
+def test_setup_hashes_no_key_chain_element(monkeypatch):
+    calls = []
+    real_owf = crypto.owf
+
+    def counting_owf(label, data):
+        calls.append(label)
+        return real_owf(label, data)
+
+    monkeypatch.setattr(crypto, "owf", counting_owf)
+    Simulation(ScenarioConfig(node_count=200, area_width=1414.2,
+                              area_height=1414.2))
+    assert len(calls) == 0
 
 
 # -- determinism ------------------------------------------------------------
