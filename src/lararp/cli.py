@@ -11,7 +11,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from . import simnet
+from . import protocol, simnet
 from .eventlog import format_log
 from .metrics import MetricsReport
 from .simnet import ScenarioConfig, ScenarioError
@@ -104,7 +104,7 @@ def sweep_configs(experiment: str, base: ScenarioConfig,
         raise ScenarioError(f"unknown experiment {experiment!r}")
     configs = []
     for point in points:
-        for proto in simnet.PROTOCOLS:
+        for proto in protocol.PROTOCOLS:
             for seed in seeds:
                 configs.append(replace(point, protocol=proto, seed=seed))
     return configs

@@ -1,5 +1,6 @@
-"""Node state machines: LARARP route discovery with credit-based trust,
-plus a verify-everything baseline node for comparison.
+"""One node state machine for route discovery, run under a verification
+policy: LARARP and the verify-everything baseline are two entries of
+POLICIES, not two code paths.
 
 Handlers are synchronous and engine-agnostic: they receive the current
 time and return a HandlerResult describing outbound actions, an optional
@@ -8,6 +9,7 @@ simulator converts the charge into processing latency).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto, messages
 from .crypto import compute_tag, reveal_next, verify_reveal, verify_tag
@@ -29,19 +31,26 @@ MALFORMED = "malformed"
 FORWARDED = "forwarded"
 MISBEHAVED = "misbehaved"
 
-LARARP = "lararp"
-BASELINE = "baseline"
+
+class Policy(NamedTuple):
+    keeps_credit: bool   # a trust table: skip vetted hops, prohibit the rest
+    path_checks: bool    # forwarders check every tag accumulated so far
+
+
+POLICIES = {"lararp": Policy(keeps_credit=True, path_checks=False),
+            "baseline": Policy(keeps_credit=False, path_checks=True)}
+PROTOCOLS = tuple(POLICIES)
 
 
 @dataclass
 class ProtocolConfig:
+    protocol: str = "lararp"           # a key of POLICIES
     credit_threshold: int = 0          # C_t
     initial_credit: int = 0
     punish_delta: int = 2
     rreq_timeout: float = 1.0          # t, seconds
     rreq_retries: int = 2
-    full_verification: bool = False
-    credit_data_forwarding: bool = True
+    full_verification: bool = False    # the destination checks every hop
     chain_length: int = 256
 
 
@@ -144,13 +153,18 @@ def _noop_log(kind, **details):
 
 
 class NodeState:
-    """One node's routing state. mode selects LARARP or the baseline that
-    verifies every tag everywhere and keeps no trust table."""
+    """One node's routing state, run under the verification policy of
+    config.protocol: whether it keeps credit, whether it checks the tags
+    of the whole path as a forwarder, and whether as a destination it
+    checks every hop or only the hops it has not vetted."""
 
     def __init__(self, node_id: int, keychain: crypto.KeyChain,
                  shared_keys: crypto.SharedKeyTable, publics: dict,
-                 config: ProtocolConfig, neighbors_fn, log=_noop_log,
-                 mode: str = LARARP):
+                 config: ProtocolConfig, neighbors_fn, log=_noop_log):
+        if config.protocol not in POLICIES:
+            raise ValueError(f"unknown protocol {config.protocol!r}")
+        self.keeps_credit, self.path_checks = POLICIES[config.protocol]
+        self.dest_checks_all = self.path_checks or config.full_verification
         self.id = node_id
         self.keychain = keychain
         self.shared_keys = shared_keys
@@ -158,7 +172,6 @@ class NodeState:
         self.config = config
         self.neighbors_fn = neighbors_fn        # node id -> container of neighbor ids
         self.log = log
-        self.mode = mode
         self.ntt = NeighborTrustTable(config.initial_credit)
         self.routes: dict[int, RouteEntry] = {}
         self.seen_requests: set[tuple[int, bytes]] = set()
@@ -194,7 +207,7 @@ class NodeState:
     def _credit(self, neighbor: int, event: str):
         # ids outside the network (a tampered node_list can name them, and
         # None is no hop at all) have no trust entry to reward or punish
-        if self.mode != LARARP or neighbor not in self.publics:
+        if not self.keeps_credit or neighbor not in self.publics:
             return
         cc = update_credit(self.ntt, neighbor, event, self.config.punish_delta)
         self.log("credit", neighbor=neighbor, event=event, cc=cc)
@@ -257,7 +270,7 @@ class NodeState:
         """Intermediate-node RREQ processing: verify, credit, append, forward."""
         if (drop := self._admit(rreq)) is not None:
             return HandlerResult.dropped(drop)
-        if self.mode == BASELINE:
+        if self.path_checks:
             # Signature-everywhere baseline: check every accumulated hop tag
             # at every node. Uncharged here so flood timing stays comparable;
             # the workload is still counted.
@@ -284,7 +297,7 @@ class NodeState:
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
                                    now: float) -> HandlerResult:
         """Destination pipeline: source verifier and MAC always; hop tags
-        selectively (LARARP) or exhaustively (baseline/full_verification)."""
+        of every hop under dest_checks_all, else of every hop not vetted."""
         if (drop := self._admit(rreq)) is not None:
             return HandlerResult.dropped(drop)
         if not verify_tag(self.key(rreq.source_id), rreq.request_id,
@@ -294,21 +307,18 @@ class NodeState:
         charged = 0
         cfg = self.config
         for k, node in enumerate(rreq.node_list):
-            if self.mode == LARARP:
-                # a node with no key chain is never trusted
-                well_behaving = (node in self.publics and self.ntt.get(node)
-                                 >= cfg.credit_threshold)
-                if well_behaving and not cfg.full_verification:
-                    continue
-            else:
-                well_behaving = True
+            # a node with no key chain is never vetted
+            vetted = (self.keeps_credit and node in self.publics
+                      and self.ntt.get(node) >= cfg.credit_threshold)
+            if vetted and not self.dest_checks_all:
+                continue
             self._count_checks(1, as_dest=True)
             charged += 1
             if not self._tag_matches(node, self.id, hop_digest(rreq, k),
                                      rreq.hop_tags[k]):
                 self._credit(node, MISBEHAVED)
                 return HandlerResult.dropped(BAD_HOP_TAG, charged)
-            if self.mode == LARARP and not well_behaving:
+            if self.keeps_credit and not vetted:
                 return HandlerResult.dropped(PROHIBITED, charged)
         self.seen_requests.add((rreq.source_id, rreq.request_id))
         rrep = Rrep(source_id=rreq.source_id, dest_id=self.id,
@@ -346,7 +356,7 @@ class NodeState:
         traversed = len(rrep.route) - 1 - pos
         if len(rrep.reverse_hop_tags) != traversed:
             return HandlerResult.dropped(MALFORMED, charged)
-        if self.mode == BASELINE:
+        if self.path_checks:
             # Verify every reverse tag accumulated so far.
             for j in range(traversed):
                 hop = rrep.route[len(rrep.route) - 1 - j]
@@ -432,8 +442,7 @@ class NodeState:
                      now: float) -> HandlerResult:
         """Source-route a data packet one hop, deliver it, or report a
         broken link back to the source."""
-        if self.config.credit_data_forwarding:
-            self._credit(prev_hop, FORWARDED)
+        self._credit(prev_hop, FORWARDED)
         if self.id == packet.dest_id:
             return HandlerResult(actions=[Deliver(packet)])
         route = packet.route

@@ -33,15 +33,15 @@ from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
                        LinkBreak, NodeState, ProtocolConfig, Unicast,
                        Unroutable)
 
-PROTOCOLS = (protocol.LARARP, protocol.BASELINE)
-
 
 class ScenarioError(ValueError):
     pass
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(ProtocolConfig):
+    """A run's settings; the protocol's own knobs are those of
+    ProtocolConfig, and every node reads them from this config."""
     node_count: int = 100
     area_width: float = 1000.0
     area_height: float = 1000.0
@@ -60,16 +60,7 @@ class ScenarioConfig:
     tamper_field: str = "node_list"
     replay_delay: float = 0.5
     flood_rate: float = 2.0
-    protocol: str = "lararp"
     seed: int = 1
-    credit_threshold: int = 0
-    initial_credit: int = 0
-    punish_delta: int = 2
-    rreq_timeout: float = 1.0
-    rreq_retries: int = 2
-    full_verification: bool = False
-    credit_data_forwarding: bool = True
-    chain_length: int = 256
     processing_delay: float = 0.001
     tag_verify_cost: float = 0.002
     mobility_tick: float = 0.1
@@ -101,7 +92,7 @@ class ScenarioConfig:
             raise ScenarioError("grayhole_drop_prob must be in [0, 1]")
         if self.tamper_field not in TAMPER_FIELDS:
             raise ScenarioError(f"unknown tamper_field {self.tamper_field!r}")
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in protocol.PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.flow_count < 1:
             raise ScenarioError("flow_count must be at least 1")
@@ -109,10 +100,6 @@ class ScenarioConfig:
             raise ScenarioError("chain_length must be at least 1")
         if self.rreq_retries < 0:
             raise ScenarioError("rreq_retries must be nonnegative")
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(**{f.name: getattr(self, f.name)
-                                 for f in fields(ProtocolConfig)})
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
@@ -275,16 +262,15 @@ class Simulation:
         node_ids = list(range(config.node_count))
         shared_keys = crypto.SharedKeyTable.derive(master, node_ids)
         publics: dict[int, Sequence[bytes]] = {}
-        pconfig = config.protocol_config()
         self.nodes: dict[int, NodeState] = {}
         for i in node_ids:
             chain = crypto.generate_keychain(self.rng_setup.randbytes(16),
                                              config.chain_length, owner=i)
             publics[i] = chain.publics
             self.nodes[i] = NodeState(
-                i, chain, shared_keys, publics, pconfig,
+                i, chain, shared_keys, publics, config,
                 neighbors_fn=self.mobility.neighbors,
-                log=self._node_logger(i), mode=config.protocol)
+                log=self._node_logger(i))
 
         self.attackers: dict[int, Attacker] = {}
         profile = AttackerProfile(kind=config.attacker_kind,

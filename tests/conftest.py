@@ -19,7 +19,7 @@ class World:
 
     def __init__(self, n, adjacency=None, mode="lararp", seed=7, **knobs):
         self.n = n
-        self.config = ProtocolConfig(**knobs)
+        self.config = ProtocolConfig(protocol=mode, **knobs)
         self.rng = random.Random(seed)
         if adjacency is None:   # fully connected
             adjacency = {i: [j for j in range(n) if j != i] for i in range(n)}
@@ -34,7 +34,7 @@ class World:
             self.nodes[i] = NodeState(
                 i, chain, self.shared_keys, self.publics, self.config,
                 neighbors_fn=lambda node: self.adjacency[node],
-                log=self._logger(i), mode=mode)
+                log=self._logger(i))
 
     def _logger(self, node):
         def log(kind, **details):

@@ -5,6 +5,7 @@ so a plain pytest run shows the verdict per criterion.
 """
 
 import copy
+import hashlib
 import random
 import time
 
@@ -50,20 +51,54 @@ def group_means(configs, reports, point_attr):
     return means
 
 
+# sha256 of the CSVs that `lararp sweep attackers` and `lararp sweep
+# pausetime` write at the default settings; the fixtures below run exactly
+# those sweeps, so the CSVs are byte-identical from commit to commit unless
+# a change to behaviour is meant and recorded
+SWEEP_CSV_SHA256 = {
+    "attackers":
+        "11a409009a88d480927e13a1b8212ff6e2de9a766a3eddb7954a6e2848cad582",
+    "pausetime":
+        "714affe18b628e05ee268f558c7cac9665ab8230d3a61bb293ebae779ac0ed70",
+}
+
+
 @pytest.fixture(scope="module")
-def attacker_sweep():
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweeps")
+
+
+@pytest.fixture(scope="module")
+def attacker_sweep(sweep_dir):
     base = ScenarioConfig()
     start = time.perf_counter()
-    configs, reports, _ = run_sweep("attackers", base, seeds=SEEDS)
+    configs, reports, _ = run_sweep("attackers", base, seeds=SEEDS,
+                                    output_path=sweep_dir / "attackers.csv")
     elapsed = time.perf_counter() - start
     return configs, reports, elapsed
 
 
 @pytest.fixture(scope="module")
-def pause_sweep():
+def pause_sweep(sweep_dir):
     base = ScenarioConfig()
-    configs, reports, _ = run_sweep("pausetime", base, seeds=SEEDS)
+    configs, reports, _ = run_sweep("pausetime", base, seeds=SEEDS,
+                                    output_path=sweep_dir / "pausetime.csv")
     return configs, reports
+
+
+def _sweep_csv_sha256(sweep_dir, experiment):
+    return hashlib.sha256(
+        (sweep_dir / f"{experiment}.csv").read_bytes()).hexdigest()
+
+
+def test_default_attacker_sweep_csv_is_pinned(attacker_sweep, sweep_dir):
+    assert (_sweep_csv_sha256(sweep_dir, "attackers")
+            == SWEEP_CSV_SHA256["attackers"])
+
+
+def test_default_pause_sweep_csv_is_pinned(pause_sweep, sweep_dir):
+    assert (_sweep_csv_sha256(sweep_dir, "pausetime")
+            == SWEEP_CSV_SHA256["pausetime"])
 
 
 def test_criterion_1_pdr_vs_attackers(attacker_sweep, capsys):

@@ -327,9 +327,18 @@ def test_both_protocols_drop_tampered_rreq():
 
 
 def test_selective_verification_equivalence():
-    # with and without full verification the accepted routes agree when
-    # nobody misbehaves
-    for flag in (False, True):
-        world = World.line(6, full_verification=flag)
+    # under every policy the accepted routes agree when nobody misbehaves;
+    # only LARARP without full verification skips the vetted hops
+    for mode, flag, dest_checks in (("lararp", False, 0), ("lararp", True, 4),
+                                    ("baseline", False, 4),
+                                    ("baseline", True, 4)):
+        world = World.line(6, mode=mode, full_verification=flag)
         out = world.discover(0, 5, [1, 2, 3, 4])
         assert out["route"] == [1, 2, 3, 4]
+        assert world.nodes[5].hop_tag_checks_as_dest == dest_checks
+
+
+def test_unknown_protocol_is_rejected_at_the_node():
+    # a name outside the policy table must not run as some hybrid
+    with pytest.raises(ValueError, match="dsr"):
+        World.line(2, mode="dsr")

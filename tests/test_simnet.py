@@ -59,10 +59,12 @@ attacker_kind = grayhole
 
 
 def test_scenario_parse_unknown_key_names_line():
-    with pytest.raises(ScenarioError) as exc:
-        parse_scenario("node_count = 40\nbogus_key = 1\n")
-    assert "line 2" in str(exc.value)
-    assert "bogus_key" in str(exc.value)
+    # a removed key is rejected by name like any other unknown one
+    for key, value in (("bogus_key", "1"), ("credit_data_forwarding", "true")):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"node_count = 40\n{key} = {value}\n")
+        assert "line 2" in str(exc.value)
+        assert key in str(exc.value)
 
 
 def test_scenario_parse_bad_value_names_key():
