@@ -113,7 +113,8 @@ class Attacker:
         """Rewrite an honest handler result according to the attack.
 
         Returns (result, dropped_data_packets); the simulator logs the
-        drops under the attacker's kind.
+        drops under the attacker's kind. A rewrite is a new result, and
+        tampering corrupts messages before they go on the air.
         """
         kind = self.profile.kind
         dropped: list[DataPacket] = []
@@ -128,7 +129,8 @@ class Attacker:
                     dropped.append(action.message)
                 else:
                     kept.append(action)
-            result.actions = kept
+            if dropped:
+                result = result._replace(actions=kept)
         elif kind == TAMPER and isinstance(inbound, (Rreq, Rrep)):
             for action in result.actions:
                 if isinstance(action, (Broadcast, Unicast)) and isinstance(

@@ -120,6 +120,15 @@ class DataPacket:
             raise EncodingError("route", "duplicate node id")
 
 
+def wellformed(message) -> bool:
+    """Whether message.validate() passes, without the exception."""
+    try:
+        message.validate()
+    except EncodingError:
+        return False
+    return True
+
+
 def _pack_ids(ids: list[int]) -> bytes:
     return _U16.pack(len(ids)) + b"".join(_U32.pack(i) for i in ids)
 

@@ -39,8 +39,12 @@ class MetricsCollector:
         self.hop_tag_checks_at_dest = 0
 
     def observe(self, kind: str, details: dict):
-        """Fold one record, given as its kind and details."""
-        if kind == "data-sent":
+        """Fold one record, given as its kind and details; the most
+        frequent kind, a control-message drop, is tested first."""
+        if kind == "drop":
+            reason = details["reason"]
+            self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
+        elif kind == "data-sent":
             self.data_sent += 1
         elif kind == "data-delivered":
             self.data_delivered += 1
@@ -53,9 +57,6 @@ class MetricsCollector:
             self.data_lost += 1
         elif kind == "control-send":
             self.control_packets += 1
-        elif kind == "drop":
-            reason = details["reason"]
-            self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
         elif kind == "hop-tag-verify":
             n = details["n"]
             self.hop_tag_checks += n

@@ -6,9 +6,16 @@ Handlers are synchronous and engine-agnostic: they receive the current
 time and return a HandlerResult describing outbound actions, an optional
 drop reason, and how many expensive tag verifications were charged (the
 simulator converts the charge into processing latency).
+
+A control-message handler takes only well-formed messages
+(messages.wellformed): the radio validates each transmission once and
+drops a malformed one at every receiver without calling a handler, and
+a test harness that plays the radio must do the same. Results are
+immutable; an uncharged drop returns the shared result in DROPPED.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import crypto, messages
@@ -137,15 +144,22 @@ class Unroutable:
     dest: int
 
 
-@dataclass
-class HandlerResult:
-    actions: list = field(default_factory=list)
+class HandlerResult(NamedTuple):
+    actions: Sequence = ()
     drop: str | None = None
     charged: int = 0       # expensive tag verifications to bill as latency
 
     @classmethod
     def dropped(cls, reason, charged=0):
-        return cls(actions=[], drop=reason, charged=charged)
+        if not charged:
+            return DROPPED[reason]
+        return cls((), reason, charged)
+
+
+# One shared result per reason for every uncharged drop.
+DROPPED = {reason: HandlerResult((), reason) for reason in (
+    DUPLICATE, BAD_VERIFIER, BAD_SOURCE_MAC, BAD_HOP_TAG, PROHIBITED,
+    NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, MALFORMED)}
 
 
 def _noop_log(kind, **details):
@@ -251,25 +265,22 @@ class NodeState:
         self.seen_requests.add((self.id, request_id))
         return rreq
 
-    def _admit(self, rreq: Rreq) -> str | None:
-        """The drop reason for an RREQ every receiver must refuse (malformed,
-        already seen, unknown source, bad verifier), or None."""
-        try:
-            rreq.validate()
-        except messages.EncodingError:
-            return MALFORMED
+    def _admit(self, rreq: Rreq) -> HandlerResult | None:
+        """The shared drop for a well-formed RREQ every receiver must refuse
+        (already seen, unknown source, bad verifier), or None."""
         if (rreq.source_id, rreq.request_id) in self.seen_requests:
-            return DUPLICATE
+            return DROPPED[DUPLICATE]
         if rreq.source_id not in self.publics:
-            return MALFORMED
+            return DROPPED[MALFORMED]
         if not verify_reveal(self.publics[rreq.source_id], *rreq.verifier):
-            return BAD_VERIFIER
+            return DROPPED[BAD_VERIFIER]
         return None
 
     def handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> HandlerResult:
-        """Intermediate-node RREQ processing: verify, credit, append, forward."""
-        if (drop := self._admit(rreq)) is not None:
-            return HandlerResult.dropped(drop)
+        """Intermediate-node RREQ processing of a well-formed rreq: verify,
+        credit, append, forward."""
+        if (dropped := self._admit(rreq)) is not None:
+            return dropped
         if self.path_checks:
             # Signature-everywhere baseline: check every accumulated hop tag
             # at every node. Uncharged here so flood timing stays comparable;
@@ -292,14 +303,15 @@ class NodeState:
         forwarded.hop_tags.append(
             compute_tag(self.key(rreq.dest_id), hop_digest(forwarded, own_pos)))
         self.seen_requests.add((rreq.source_id, rreq.request_id))
-        return HandlerResult(actions=[Broadcast(forwarded)])
+        return HandlerResult([Broadcast(forwarded)])
 
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
                                    now: float) -> HandlerResult:
-        """Destination pipeline: source verifier and MAC always; hop tags
-        of every hop under dest_checks_all, else of every hop not vetted."""
-        if (drop := self._admit(rreq)) is not None:
-            return HandlerResult.dropped(drop)
+        """Destination pipeline for a well-formed rreq: source verifier and
+        MAC always; hop tags of every hop under dest_checks_all, else of
+        every hop not vetted."""
+        if (dropped := self._admit(rreq)) is not None:
+            return dropped
         if not verify_tag(self.key(rreq.source_id), rreq.request_id,
                           rreq.source_tag):
             return HandlerResult.dropped(BAD_SOURCE_MAC)
@@ -330,14 +342,11 @@ class NodeState:
         rrep.dest_tags += [compute_tag(self.key(n), body) for n in rrep.route]
         self.log("rrep-issued", src=rreq.source_id, route=list(rrep.route))
         next_hop = rrep.route[-1] if rrep.route else rreq.source_id
-        return HandlerResult(actions=[Unicast(next_hop, rrep)], charged=charged)
+        return HandlerResult([Unicast(next_hop, rrep)], None, charged)
 
     def handle_rrep(self, rrep: Rrep, prev_hop: int, now: float) -> HandlerResult:
-        """Reverse-path RREP processing at an intermediate node."""
-        try:
-            rrep.validate()
-        except messages.EncodingError:
-            return HandlerResult.dropped(MALFORMED)
+        """Reverse-path processing of a well-formed rrep at an intermediate
+        node."""
         if self.id not in rrep.route:
             return HandlerResult.dropped(NOT_IN_ROUTE)
         pos = rrep.route.index(self.id)
@@ -373,16 +382,12 @@ class NodeState:
         forwarded.reverse_hop_tags.append(
             compute_tag(self.key(rrep.source_id),
                         reverse_tag_payload(forwarded, self.id)))
-        return HandlerResult(actions=[Unicast(toward_src, forwarded)],
-                             charged=charged)
+        return HandlerResult([Unicast(toward_src, forwarded)], None, charged)
 
     def handle_rrep_at_source(self, rrep: Rrep, prev_hop: int,
                               now: float) -> HandlerResult:
-        """Accept or reject a route reply at the originating source."""
-        try:
-            rrep.validate()
-        except messages.EncodingError:
-            return HandlerResult.dropped(MALFORMED)
+        """Accept or reject a well-formed route reply at the originating
+        source."""
         pend = self.pending.get(rrep.dest_id)
         if pend is None:
             return HandlerResult.dropped(REPLAY)
@@ -411,9 +416,8 @@ class NodeState:
                                                established_at=now)
         del self.pending[rrep.dest_id]
         self.log("route-accept", dest=rrep.dest_id, route=list(rrep.route))
-        return HandlerResult(actions=[AcceptedRoute(rrep.dest_id,
-                                                    list(rrep.route))],
-                             charged=charged)
+        return HandlerResult([AcceptedRoute(rrep.dest_id, list(rrep.route))],
+                             None, charged)
 
     # -- timers and data ---------------------------------------------------
 
@@ -444,7 +448,7 @@ class NodeState:
         broken link back to the source."""
         self._credit(prev_hop, FORWARDED)
         if self.id == packet.dest_id:
-            return HandlerResult(actions=[Deliver(packet)])
+            return HandlerResult([Deliver(packet)])
         route = packet.route
         if self.id == packet.source_id:
             next_hop = route[0] if route else packet.dest_id
@@ -455,6 +459,6 @@ class NodeState:
             return HandlerResult.dropped(NOT_IN_ROUTE)
         if next_hop not in self.neighbors_fn(self.id):
             self.invalidate_route(packet.dest_id)
-            return HandlerResult(actions=[LinkBreak(packet, packet.dest_id)],
-                                 drop=LINK_BREAK)
-        return HandlerResult(actions=[Unicast(next_hop, packet)])
+            return HandlerResult([LinkBreak(packet, packet.dest_id)],
+                                 LINK_BREAK)
+        return HandlerResult([Unicast(next_hop, packet)])

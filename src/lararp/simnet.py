@@ -4,10 +4,15 @@ drives protocol handlers and attacker shims.
 
 An event is a handler call: a heap entry is ``(time, ordinal, handler,
 args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
-time ties in push order. One transmission is one event: a broadcast or
-unicast pushes a single ``_transmission`` naming its receivers (the
-sender's neighbour row at send time, or the one unicast receiver), which
-hands the message to each receiver in turn, in ascending id order.
+time ties in push order. One transmission is one event and one
+validation: a broadcast or unicast pushes a single ``_transmission``
+naming its receivers (the sender's neighbour row at send time, or the one
+unicast receiver). It decides once whether a control message is
+well-formed, then hands the message to each receiver in turn, in
+ascending id order; every receiver drops a malformed one as it arrives,
+without a handler call. That verdict holds for every receiver because
+they all get the same object and nothing changes a message once it is
+on the air.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -27,7 +32,7 @@ from . import crypto, protocol
 from .adversary import (Attacker, AttackerProfile, CONTROL_FLOOD, KINDS,
                         TAMPER_FIELDS)
 from .eventlog import Record
-from .messages import DataPacket, Rrep, Rreq, wire_size
+from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
 from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
                        LinkBreak, NodeState, ProtocolConfig, Unicast,
@@ -36,6 +41,10 @@ from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
 
 class ScenarioError(ValueError):
     pass
+
+
+# the name of a control message's kind in the event log
+_MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
 
 @dataclass
@@ -70,16 +79,17 @@ class ScenarioConfig(ProtocolConfig):
     def validate(self):
         if self.node_count < 2:
             raise ScenarioError("node_count must be at least 2")
-        # each range test is written so that NaN fails it too
+        # each range test is written so that NaN fails it too; an infinite
+        # time or rate never ends a run
         for name in ("area_width", "area_height", "radio_range", "bandwidth",
                      "sim_time", "flow_rate", "mobility_tick", "flood_rate"):
-            if not getattr(self, name) > 0:
-                raise ScenarioError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite")
         for name in ("speed_min", "speed_max", "pause_time",
                      "processing_delay", "tag_verify_cost", "rreq_timeout",
                      "replay_delay"):
-            if not getattr(self, name) >= 0:
-                raise ScenarioError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be nonnegative and finite")
         if self.packet_size <= 0:
             raise ScenarioError("packet_size must be positive")
         if self.speed_min > self.speed_max:
@@ -409,7 +419,7 @@ class Simulation:
         after serialization plus the sender's processing delay."""
         if not isinstance(message, DataPacket):
             self._emit(self.now, sender, "control-send",
-                       msg=type(message).__name__.lower(),
+                       msg=_MSG_KIND[type(message)],
                        src=message.source_id, dst=message.dest_id)
         delay = self.config.processing_delay
         attacker = self.attackers.get(sender)
@@ -425,24 +435,27 @@ class Simulation:
         if (not isinstance(message, DataPacket)
                 and not self.mobility.in_range(sender, receiver)):
             self._emit(self.now, sender, "control-lost",
-                       msg=type(message).__name__.lower())
+                       msg=_MSG_KIND[type(message)])
             return
         self._send(sender, (receiver,), message, now)
 
     # -- event handling ---------------------------------------------------
 
     def _transmission(self, sender: int, receivers, message, now: float):
+        valid = isinstance(message, DataPacket) or wellformed(message)
         for receiver in receivers:
-            self._arrival(sender, receiver, message, now)
+            self._arrival(sender, receiver, message, valid, now)
 
-    def _arrival(self, sender: int, receiver: int, message, now: float):
+    def _arrival(self, sender: int, receiver: int, message, valid: bool,
+                 now: float):
+        """Deliver one copy; valid is the transmission's verdict on it."""
         if not self.mobility.in_range(sender, receiver):
             if isinstance(message, DataPacket):
                 self._emit(now, receiver, "data-lost", flow=message.flow_id,
                            seq=message.seq)
             else:
                 self._emit(now, receiver, "control-lost",
-                           msg=type(message).__name__.lower())
+                           msg=_MSG_KIND[type(message)])
             return
         node = self.nodes[receiver]
         attacker = self.attackers.get(receiver)
@@ -452,7 +465,9 @@ class Simulation:
 
         before_total = node.hop_tag_checks
         before_dest = node.hop_tag_checks_as_dest
-        if isinstance(message, Rreq):
+        if not valid:
+            result = protocol.DROPPED[protocol.MALFORMED]
+        elif isinstance(message, Rreq):
             if receiver == message.dest_id:
                 result = node.handle_rreq_at_destination(message, sender, now)
             else:
@@ -467,14 +482,15 @@ class Simulation:
         else:
             return
 
-        dest_delta = node.hop_tag_checks_as_dest - before_dest
-        other_delta = node.hop_tag_checks - before_total - dest_delta
-        if dest_delta:
-            self._emit(now, receiver, "hop-tag-verify", n=dest_delta,
-                       role="dest")
-        if other_delta:
-            self._emit(now, receiver, "hop-tag-verify", n=other_delta,
-                       role="path")
+        if node.hop_tag_checks != before_total:
+            dest_delta = node.hop_tag_checks_as_dest - before_dest
+            other_delta = node.hop_tag_checks - before_total - dest_delta
+            if dest_delta:
+                self._emit(now, receiver, "hop-tag-verify", n=dest_delta,
+                           role="dest")
+            if other_delta:
+                self._emit(now, receiver, "hop-tag-verify", n=other_delta,
+                           role="path")
 
         if attacker is not None:
             result, dropped = attacker.transform(message, result)
@@ -491,8 +507,7 @@ class Simulation:
                                reason=result.drop)
             else:
                 self._emit(now, receiver, "drop",
-                           msg=type(message).__name__.lower(),
-                           reason=result.drop)
+                           msg=_MSG_KIND[type(message)], reason=result.drop)
         if result.actions:
             self._apply(receiver, result, now)
 

@@ -2,7 +2,8 @@
 
 A World wires up NodeStates over a fixed adjacency with no simulator in
 the loop, so tests can walk messages hop by hop and tamper with them at
-chosen points.
+chosen points. It plays the radio: a message that is not well-formed is
+dropped as malformed before any handler sees it.
 """
 
 import random
@@ -10,8 +11,9 @@ import random
 import pytest
 
 from lararp.crypto import SharedKeyTable, generate_keychain
-from lararp.protocol import (AcceptedRoute, Broadcast, NodeState,
-                             ProtocolConfig, Unicast)
+from lararp.messages import wellformed
+from lararp.protocol import (DROPPED, MALFORMED, AcceptedRoute, Broadcast,
+                             NodeState, ProtocolConfig, Unicast)
 
 
 class World:
@@ -41,6 +43,13 @@ class World:
             self.events.append((node, kind, details))
         return log
 
+    @staticmethod
+    def hand(handler, msg, prev, now):
+        """Call handler on msg as the radio would, after validating it."""
+        if not wellformed(msg):
+            return DROPPED[MALFORMED]
+        return handler(msg, prev, now)
+
     @classmethod
     def line(cls, n, **kwargs):
         adjacency = {i: [j for j in (i - 1, i + 1) if 0 <= j < n]
@@ -61,7 +70,7 @@ class World:
         outcome = {"rreq": rreq, "forward_results": []}
         msg, prev = rreq, src
         for k, hop in enumerate(path):
-            result = self.nodes[hop].handle_rreq(msg, prev, now)
+            result = self.hand(self.nodes[hop].handle_rreq, msg, prev, now)
             outcome["forward_results"].append(result)
             if result.drop is not None:
                 outcome["dropped_at"] = hop
@@ -72,7 +81,7 @@ class World:
             msg, prev = action.message, hop
             if mutate_rreq is not None and mutate_rreq[0] == k:
                 mutate_rreq[1](msg)
-        dresult = dest.handle_rreq_at_destination(msg, prev, now)
+        dresult = self.hand(dest.handle_rreq_at_destination, msg, prev, now)
         outcome["dest_result"] = dresult
         if dresult.drop is not None:
             outcome["dropped_at"] = dst
@@ -86,7 +95,8 @@ class World:
         while True:
             receiver = action.next_hop
             if receiver == src:
-                sresult = self.nodes[src].handle_rrep_at_source(msg, prev, now)
+                sresult = self.hand(self.nodes[src].handle_rrep_at_source,
+                                    msg, prev, now)
                 outcome["source_result"] = sresult
                 if sresult.drop is not None:
                     outcome["dropped_at"] = src
@@ -96,7 +106,8 @@ class World:
                     assert isinstance(accept, AcceptedRoute)
                     outcome["route"] = accept.route
                 return outcome
-            result = self.nodes[receiver].handle_rrep(msg, prev, now)
+            result = self.hand(self.nodes[receiver].handle_rrep, msg, prev,
+                               now)
             outcome["reverse_results"].append(result)
             if result.drop is not None:
                 outcome["dropped_at"] = receiver

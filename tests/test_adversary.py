@@ -1,12 +1,15 @@
+import copy
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import World
+from lararp import protocol
 from lararp.adversary import (Attacker, AttackerProfile, KINDS,
                               TAMPER_FIELDS, mutate_field)
-from lararp.messages import Rreq
+from lararp.messages import DataPacket, Rreq
+from lararp.protocol import HandlerResult, Unicast
 from lararp.simnet import ScenarioConfig, run
 
 
@@ -79,6 +82,27 @@ def test_tamper_always_detected_at_destination():
 
         out = world.discover(0, 3, [1, 2], mutate_rreq=(1, tamper))
         assert out["drop"] in ("bad-hop-tag", "bad-source-mac")
+
+
+def test_transform_leaves_its_input_alone():
+    # a rewrite is a new result: neither the handler's result nor the
+    # shared drop results change
+    world = World.line(3)
+    attacker = Attacker(AttackerProfile(kind="blackhole"), world.nodes[1],
+                        random.Random(0))
+    packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=2,
+                        payload_size=512, route=[1], created_at=0.0)
+    forwarding = world.nodes[1].forward_data(packet, 0, 0.0)
+    assert forwarding == HandlerResult([Unicast(2, packet)])
+    before = copy.deepcopy(forwarding)
+    result, dropped = attacker.transform(packet, forwarding)
+    assert list(result.actions) == [] and dropped == [packet]
+    assert forwarding == before
+    shared = copy.deepcopy(protocol.DROPPED)
+    for kind in ("blackhole", "tamper"):
+        run(line_config(4, attacker_count=1, attacker_kind=kind,
+                        sim_time=10.0))
+    assert protocol.DROPPED == shared
 
 
 def test_rushing_attacker_has_zero_processing_delay():

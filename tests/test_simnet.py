@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import heapq
 import math
 import random
 from dataclasses import fields
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lararp import crypto
+from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
-from lararp.messages import DataPacket
+from lararp.messages import DataPacket, Rreq
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
                            Simulation, parse_scenario, run, step_mobility)
 
@@ -83,10 +86,14 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     ("grayhole_drop_prob", 1.5), ("grayhole_drop_prob", -0.1),
     ("flood_rate", 0), ("replay_delay", -1),
     ("grayhole_drop_prob", "nan"), ("flood_rate", "nan"),
-    ("replay_delay", "nan"), ("sim_time", "nan")])
+    ("replay_delay", "nan"), ("sim_time", "nan"),
+    ("sim_time", "inf"), ("flow_rate", "inf"), ("flood_rate", "inf"),
+    ("area_width", "inf")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
-    # Simulation would not use them; a NaN sim_time never ends a run
+    # Simulation would not use them; a NaN or infinite sim_time, flow_rate
+    # or flood_rate never ends a run, and an infinite area places nodes
+    # at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -312,6 +319,74 @@ def test_range_checked_per_receiver_at_arrival():
                   if r.kind == "control-send") == [1, 2]
 
 
+def test_one_validation_per_transmission(monkeypatch):
+    # a malformed broadcast is validated once, not once per receiver, and
+    # every receiver still drops it as it arrives; a replay attacker among
+    # them captures it first
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(0, 0), (100, 0), (0, 100), (100, 100)],
+                         flows=[(0, 1)], flow_count=1, pause_time=100.0,
+                         attacker_count=1, attacker_kind="replay",
+                         sim_time=1.0)
+    sim = Simulation(cfg, keep_log=True)
+    (attacker_id, attacker), = sim.attackers.items()
+    assert attacker_id in (2, 3)
+    rreq = sim.nodes[0].new_rreq(3, sim.rng_protocol)
+    rreq.node_list = [1]       # one id, no hop tag
+    calls = []
+    real_validate = Rreq.validate
+
+    def counting_validate(message):
+        calls.append(message)
+        return real_validate(message)
+
+    monkeypatch.setattr(Rreq, "validate", counting_validate)
+    sim._broadcast(0, rreq, 0.0)
+    assert len(sim._heap) == 1
+    at, _, handler, args = heapq.heappop(sim._heap)
+    handler(*args, at)
+    assert len(calls) == 1
+    drops = [(r.node, r.details) for r in sim.records if r.kind == "drop"]
+    assert drops == [(n, {"msg": "rreq", "reason": "malformed"})
+                     for n in (1, 2, 3)]
+    assert attacker._replayed == [rreq]
+    assert [(h.__name__, a) for _, _, h, a in sim._heap] == [
+        ("_broadcast", (attacker_id, rreq))]
+
+
+@pytest.mark.parametrize("protocol", ["lararp", "baseline"])
+@pytest.mark.parametrize("kind,field", [
+    (kind, field) for kind in KINDS
+    for field in (TAMPER_FIELDS if kind == "tamper" else ("node_list",))])
+def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
+                                               protocol):
+    # every receiver of a transmission shares one message object, and the
+    # radio validates it once when it goes on the air; that verdict holds
+    # only if nothing changes the message between its send and its arrival
+    sent = {}
+    arrived = []
+    real_send = Simulation._send
+    real_transmission = Simulation._transmission
+
+    def send(self, sender, receivers, message, now):
+        # the first send: a data packet is sent again, unchanged, per hop
+        sent.setdefault(id(message), (message, copy.deepcopy(message)))
+        return real_send(self, sender, receivers, message, now)
+
+    def transmission(self, sender, receivers, message, now):
+        assert message == sent[id(message)][1]
+        arrived.append(type(message))
+        return real_transmission(self, sender, receivers, message, now)
+
+    monkeypatch.setattr(Simulation, "_send", send)
+    monkeypatch.setattr(Simulation, "_transmission", transmission)
+    run(ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
+                       sim_time=10.0, flow_count=4, attacker_count=4,
+                       attacker_kind=kind, tamper_field=field,
+                       protocol=protocol, seed=1))
+    assert Rreq in arrived and DataPacket in arrived
+
+
 @pytest.mark.parametrize("far,neighbor", [
     ((213.57313264865948, 129.94813200134163), True),
     ((91.67962296439045, 232.58298891601513), False)])
@@ -324,7 +399,7 @@ def test_arrival_range_agrees_with_neighbor_rows(far, neighbor):
     sim = Simulation(cfg, keep_log=True)
     packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=1,
                         payload_size=512, route=[], created_at=0.0)
-    sim._arrival(0, 1, packet, 0.01)
+    sim._arrival(0, 1, packet, True, 0.01)
     delivered = [r.kind for r in sim.records].count("data-delivered") == 1
     assert (1 in sim.mobility.neighbors(0)) == neighbor
     assert delivered == neighbor
@@ -339,7 +414,7 @@ def test_in_flight_loss_when_receiver_moves_away():
                         payload_size=512, route=[], created_at=0.0)
     sim.mobility.x[1] = 500.0    # receiver out of range before arrival
     sim.mobility._nbr_cache = None
-    sim._arrival(0, 1, packet, 0.01)
+    sim._arrival(0, 1, packet, True, 0.01)
     assert any(r.kind == "data-lost" for r in sim.records)
 
 
