@@ -12,7 +12,10 @@ well-formed, then hands the message to each receiver in turn, in
 ascending id order; every receiver drops a malformed one as it arrives,
 without a handler call. That verdict holds for every receiver because
 they all get the same object and nothing changes a message once it is
-on the air.
+on the air. Every receiver is in range when a message is sent, and an
+arrival re-tests the range only if a node has moved since. Node records
+(credits, route changes) are built only when a log is kept: the live
+metrics fold none of them.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -45,6 +48,13 @@ class ScenarioError(ValueError):
 
 # the name of a control message's kind in the event log
 _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
+
+# The most timer events (mobility ticks, CBR packets and control-flood
+# requests) a config may schedule before sim_time; far past it a run never
+# ends in practice. Not a knob: the largest config in the tests, the demos,
+# the default sweeps and the benchmark workloads (static-cbr) schedules
+# 36,600, over 100 times fewer.
+MAX_TIMER_EVENTS = 10_000_000
 
 
 @dataclass
@@ -110,6 +120,18 @@ class ScenarioConfig(ProtocolConfig):
             raise ScenarioError("chain_length must be at least 1")
         if self.rreq_retries < 0:
             raise ScenarioError("rreq_retries must be nonnegative")
+        flows = self.flow_count if self.flows is None else len(self.flows)
+        floods = (self.attacker_count if self.attacker_kind == CONTROL_FLOOD
+                  else 0)
+        timers = {"mobility_tick": 1.0 / self.mobility_tick,    # per second
+                  "flow_rate": flows * self.flow_rate,
+                  "flood_rate": floods * self.flood_rate}
+        total = sum(timers.values()) * self.sim_time
+        if total > MAX_TIMER_EVENTS:
+            key = max(timers, key=timers.get)
+            raise ScenarioError(
+                f"{key} schedules too many timer events: {total:.3g} before "
+                f"sim_time, above {MAX_TIMER_EVENTS:,}")
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
@@ -156,7 +178,9 @@ class MobilityState:
 
     Neighbour rows are computed lazily, one per queried node, against numpy
     copies of the positions taken once per change, and are kept until
-    step_mobility moves a node. ``_nbr_cache = None`` marks them stale."""
+    step_mobility moves a node. ``_nbr_cache = None`` marks them stale, and
+    whatever moves a node must set it: the radio takes rows that are still
+    current to mean that no node has moved."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random):
         self.config = config
@@ -327,6 +351,11 @@ class Simulation:
         return [_Flow(index=i, src=s, dst=d) for i, (s, d) in enumerate(pairs)]
 
     def _node_logger(self, node: int):
+        # MetricsCollector.observe folds no kind a node logs, so without a
+        # kept log a node's records go nowhere
+        if not self.keep_log:
+            return protocol._noop_log
+
         def log(kind, **details):
             self._emit(self.now, node, kind, **details)
         return log
@@ -389,14 +418,15 @@ class Simulation:
         self._push(now + 1.0 / cfg.flow_rate, self._flow_tick, flow)
 
     def _originate(self, src: int, packet: DataPacket, now: float):
-        # a valid route always has an empty buffer (every accepted route
-        # flushes it at once), so the flush sends just this packet
         node = self.nodes[src]
         dest = packet.dest_id
-        self.buffers[src].setdefault(dest, []).append(packet)
         if node.has_route(dest):
-            self._flush_buffer(src, dest, now)
-        elif dest not in node.pending:
+            # a valid route always has an empty buffer (every accepted route
+            # flushes it at once), so the packet goes out alone
+            self._source_route(node, packet, now)
+            return
+        self.buffers[src].setdefault(dest, []).append(packet)
+        if dest not in node.pending:
             rreq = node.initiate_route_discovery(dest, now, self.rng_protocol)
             if rreq is not None:
                 self._broadcast(src, rreq, now)
@@ -416,7 +446,11 @@ class Simulation:
 
     def _send(self, sender: int, receivers, message, now: float):
         """Put message on the air at now: one event reaches every receiver
-        after serialization plus the sender's processing delay."""
+        after serialization plus the sender's processing delay. Every
+        receiver is in range now: a broadcast names the sender's row, a data
+        packet goes to a hop that forward_data found in that row, and a
+        control unicast passed in_range. The event keeps the neighbour rows
+        current now, so the arrival knows whether any node moved since."""
         if not isinstance(message, DataPacket):
             self._emit(self.now, sender, "control-send",
                        msg=_MSG_KIND[type(message)],
@@ -426,7 +460,8 @@ class Simulation:
         if attacker is not None:
             delay = attacker.processing_delay(delay)
         self._push(now + wire_size(message) * 8.0 / self.config.bandwidth
-                   + delay, self._transmission, sender, receivers, message)
+                   + delay, self._transmission, sender, receivers, message,
+                   self.mobility._nbr_cache)
 
     def _broadcast(self, sender: int, message, now: float):
         self._send(sender, self.mobility.neighbors(sender), message, now)
@@ -441,21 +476,27 @@ class Simulation:
 
     # -- event handling ---------------------------------------------------
 
-    def _transmission(self, sender: int, receivers, message, now: float):
-        valid = isinstance(message, DataPacket) or wellformed(message)
+    def _transmission(self, sender: int, receivers, message, rows,
+                      now: float):
+        valid = type(message) is DataPacket or wellformed(message)
+        # positions change only where the rows are dropped, so while the
+        # send's rows are current every receiver is still in range
+        still = rows is not None and rows is self.mobility._nbr_cache
         for receiver in receivers:
-            self._arrival(sender, receiver, message, valid, now)
+            self._arrival(sender, receiver, message, valid, now, still)
 
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
-                 now: float):
-        """Deliver one copy; valid is the transmission's verdict on it."""
-        if not self.mobility.in_range(sender, receiver):
-            if isinstance(message, DataPacket):
+                 now: float, still: bool = False):
+        """Deliver one copy; valid is the transmission's verdict on it, and
+        still says that no node has moved since it was sent, so the range
+        test is skipped."""
+        kind = type(message)
+        if not (still or self.mobility.in_range(sender, receiver)):
+            if kind is DataPacket:
                 self._emit(now, receiver, "data-lost", flow=message.flow_id,
                            seq=message.seq)
             else:
-                self._emit(now, receiver, "control-lost",
-                           msg=_MSG_KIND[type(message)])
+                self._emit(now, receiver, "control-lost", msg=_MSG_KIND[kind])
             return
         node = self.nodes[receiver]
         attacker = self.attackers.get(receiver)
@@ -467,18 +508,18 @@ class Simulation:
         before_dest = node.hop_tag_checks_as_dest
         if not valid:
             result = protocol.DROPPED[protocol.MALFORMED]
-        elif isinstance(message, Rreq):
+        elif kind is DataPacket:
+            result = node.forward_data(message, sender, now)
+        elif kind is Rreq:
             if receiver == message.dest_id:
                 result = node.handle_rreq_at_destination(message, sender, now)
             else:
                 result = node.handle_rreq(message, sender, now)
-        elif isinstance(message, Rrep):
+        elif kind is Rrep:
             if receiver == message.source_id:
                 result = node.handle_rrep_at_source(message, sender, now)
             else:
                 result = node.handle_rrep(message, sender, now)
-        elif isinstance(message, DataPacket):
-            result = node.forward_data(message, sender, now)
         else:
             return
 
@@ -499,15 +540,15 @@ class Simulation:
                            seq=pkt.seq, reason=attacker.profile.kind)
 
         if result.drop is not None:
-            if isinstance(message, DataPacket):
+            if kind is DataPacket:
                 if result.drop != protocol.LINK_BREAK:
                     # link-break drops are logged via the LinkBreak action
                     self._emit(now, receiver, "data-dropped",
                                flow=message.flow_id, seq=message.seq,
                                reason=result.drop)
             else:
-                self._emit(now, receiver, "drop",
-                           msg=_MSG_KIND[type(message)], reason=result.drop)
+                self._emit(now, receiver, "drop", msg=_MSG_KIND[kind],
+                           reason=result.drop)
         if result.actions:
             self._apply(receiver, result, now)
 
@@ -515,10 +556,10 @@ class Simulation:
         # charged tag checks delay whatever the node sends in response
         t_eff = now + result.charged * self.config.tag_verify_cost
         for action in result.actions:
-            if isinstance(action, Broadcast):
-                self._broadcast(node_id, action.message, t_eff)
-            elif isinstance(action, Unicast):
+            if isinstance(action, Unicast):
                 self._unicast(node_id, action.next_hop, action.message, t_eff)
+            elif isinstance(action, Broadcast):
+                self._broadcast(node_id, action.message, t_eff)
             elif isinstance(action, Deliver):
                 pkt = action.packet
                 self._emit(now, node_id, "data-delivered", flow=pkt.flow_id,
@@ -542,9 +583,12 @@ class Simulation:
             if not node.has_route(dest):
                 self.buffers[node_id].setdefault(dest, []).append(packet)
                 continue
-            packet.route = list(node.routes[dest].route)
-            result = node.forward_data(packet, None, now)
-            self._apply(node_id, result, now)
+            self._source_route(node, packet, now)
+
+    def _source_route(self, node: NodeState, packet: DataPacket, now: float):
+        """Send a packet from its source along the node's valid route."""
+        packet.route = list(node.routes[packet.dest_id].route)
+        self._apply(node.id, node.forward_data(packet, None, now), now)
 
     def _drop_buffer(self, node_id: int, dest: int, now: float):
         for packet in self.buffers[node_id].pop(dest, []):

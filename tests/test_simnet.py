@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import math
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -12,6 +13,7 @@ from lararp import crypto
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rreq
+from lararp.metrics import fold
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
                            Simulation, parse_scenario, run, step_mobility)
 
@@ -88,12 +90,17 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     ("grayhole_drop_prob", "nan"), ("flood_rate", "nan"),
     ("replay_delay", "nan"), ("sim_time", "nan"),
     ("sim_time", "inf"), ("flow_rate", "inf"), ("flood_rate", "inf"),
-    ("area_width", "inf")])
+    ("area_width", "inf"), ("flow_rate", "1e9"), ("mobility_tick", "1e-9"),
+    pytest.param("flood_rate",
+                 "1e9\nattacker_kind = controlflood\nattacker_count = 1",
+                 id="flood_rate-1e9-controlflood")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
-    # or flood_rate never ends a run, and an infinite area places nodes
-    # at infinity
+    # or flood_rate never ends a run, nor does a rate or tick that
+    # schedules billions of timer events (the flood only with a flooding
+    # attacker, set by the lines after flood_rate), and an infinite area
+    # places nodes at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -290,8 +297,8 @@ def test_broadcast_reaches_all_neighbors():
     sim._broadcast(0, rreq, 0.0)
     # one transmission is one event, naming every receiver
     assert len(sim._heap) - before == 1
-    _, _, handler, (sender, receivers, message) = max(sim._heap,
-                                                     key=lambda e: e[1])
+    _, _, handler, (sender, receivers, message, _) = max(
+        sim._heap, key=lambda e: e[1])
     assert handler == sim._transmission
     assert (sender, list(receivers), message) == (0, [1, 2, 3], rreq)
 
@@ -354,10 +361,22 @@ def test_one_validation_per_transmission(monkeypatch):
         ("_broadcast", (attacker_id, rreq))]
 
 
-@pytest.mark.parametrize("protocol", ["lararp", "baseline"])
-@pytest.mark.parametrize("kind,field", [
+# every attack, with every tamper_field, under both protocols
+PROTOCOLS = pytest.mark.parametrize("protocol", ["lararp", "baseline"])
+ATTACKS = pytest.mark.parametrize("kind,field", [
     (kind, field) for kind in KINDS
     for field in (TAMPER_FIELDS if kind == "tamper" else ("node_list",))])
+
+
+def attack_config(kind, field, protocol):
+    return ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
+                          sim_time=10.0, flow_count=4, attacker_count=4,
+                          attacker_kind=kind, tamper_field=field,
+                          protocol=protocol, seed=1)
+
+
+@PROTOCOLS
+@ATTACKS
 def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
                                                protocol):
     # every receiver of a transmission shares one message object, and the
@@ -373,18 +392,36 @@ def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
         sent.setdefault(id(message), (message, copy.deepcopy(message)))
         return real_send(self, sender, receivers, message, now)
 
-    def transmission(self, sender, receivers, message, now):
+    def transmission(self, sender, receivers, message, *args):
         assert message == sent[id(message)][1]
         arrived.append(type(message))
-        return real_transmission(self, sender, receivers, message, now)
+        return real_transmission(self, sender, receivers, message, *args)
 
     monkeypatch.setattr(Simulation, "_send", send)
     monkeypatch.setattr(Simulation, "_transmission", transmission)
-    run(ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
-                       sim_time=10.0, flow_count=4, attacker_count=4,
-                       attacker_kind=kind, tamper_field=field,
-                       protocol=protocol, seed=1))
+    run(attack_config(kind, field, protocol))
     assert Rreq in arrived and DataPacket in arrived
+
+
+@PROTOCOLS
+@ATTACKS
+def test_origination_on_a_valid_route_finds_an_empty_buffer(
+        monkeypatch, kind, field, protocol):
+    # a packet originated on a valid route goes out at once, ahead of any
+    # buffered packet; that keeps the order only because every accepted
+    # route flushes the buffer
+    originated = []
+    real_originate = Simulation._originate
+
+    def originate(self, src, packet, now):
+        if self.nodes[src].has_route(packet.dest_id):
+            assert not self.buffers[src].get(packet.dest_id)
+            originated.append(packet)
+        return real_originate(self, src, packet, now)
+
+    monkeypatch.setattr(Simulation, "_originate", originate)
+    run(attack_config(kind, field, protocol))
+    assert originated
 
 
 @pytest.mark.parametrize("far,neighbor", [
@@ -406,6 +443,41 @@ def test_arrival_range_agrees_with_neighbor_rows(far, neighbor):
     if neighbor:
         report, _ = run(cfg)
         assert report.data_sent > 0 and report.pdr == 1.0
+
+
+def test_arrival_skips_range_test_while_rows_are_current(monkeypatch):
+    # no node moves on a static run, so the neighbour rows a transmission
+    # was sent with are still current when it arrives, and every receiver
+    # is known to be in range; control unicasts are still range-tested when
+    # they are sent
+    callers = []
+    real_in_range = MobilityState.in_range
+
+    def in_range(self, a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_in_range(self, a, b)
+
+    monkeypatch.setattr(MobilityState, "in_range", in_range)
+    cfg = ScenarioConfig(node_count=5,
+                         positions=[(i * 200.0, 0.0) for i in range(5)],
+                         flows=[(0, 4), (4, 0)], flow_count=2,
+                         pause_time=100.0, sim_time=5.0)
+    report, _ = run(cfg)
+    assert report.data_delivered > 0
+    assert "_unicast" in callers
+    assert callers.count("_arrival") == 0
+
+
+def test_losses_on_a_fast_mobile_run():
+    # at 50-100 m/s receivers leave range between a send and its arrival;
+    # the counts are those a range test at every arrival gives
+    cfg = ScenarioConfig(node_count=40, area_width=632.0, area_height=632.0,
+                         sim_time=10.0, pause_time=0.0, flow_count=10,
+                         flow_rate=20.0, speed_min=50.0, speed_max=100.0,
+                         seed=2)
+    _, records = run(cfg, keep_log=True)
+    kinds = [r.kind for r in records]
+    assert (kinds.count("data-lost"), kinds.count("control-lost")) == (5, 62)
 
 
 def test_in_flight_loss_when_receiver_moves_away():
@@ -491,6 +563,17 @@ def test_packet_conservation(attackers, kind):
                  + report.data_lost + report.data_in_flight)
     assert accounted == report.data_sent
     assert report.data_in_flight >= 0
+
+
+@PROTOCOLS
+@pytest.mark.parametrize("kind", KINDS)
+def test_report_without_log_equals_fold_of_log(kind, protocol):
+    # without a kept log nodes log nothing, which is sound only because the
+    # live collector folds no kind a node logs
+    cfg = attack_config(kind, "node_list", protocol)
+    report, _ = run(cfg)
+    logged, records = run(cfg, keep_log=True)
+    assert report == logged == fold(records)
 
 
 def test_causality_log_times_nondecreasing():
