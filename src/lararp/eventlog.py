@@ -59,7 +59,9 @@ def parse_record(line: str) -> Record:
     if details_s:
         for item in details_s.split(","):
             k, _, v = item.partition("=")
-            details[k] = _parse_value(v)
+            # a request id is hex, which can read as a number
+            # ("3e27941960784963" as a float), so it stays text
+            details[k] = v if k == "request_id" else _parse_value(v)
     return Record(time=float(time_s), node=int(node_s), kind=kind,
                   details=details)
 

@@ -63,6 +63,11 @@ class MetricsCollector:
             if details["role"] == "dest":
                 self.hop_tag_checks_at_dest += n
 
+    def count_drops(self, reason: str, n: int):
+        """Fold n control-message drops for reason at once, as n records
+        of kind "drop" would."""
+        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + n
+
     def report(self) -> MetricsReport:
         pdr = self.data_delivered / self.data_sent if self.data_sent else None
         delay = (self.delay_sum / self.data_delivered

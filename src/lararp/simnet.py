@@ -13,7 +13,10 @@ ascending id order; every receiver drops a malformed one as it arrives,
 without a handler call. That verdict holds for every receiver because
 they all get the same object and nothing changes a message once it is
 on the air. Every receiver is in range when a message is sent, and an
-arrival re-tests the range only if a node has moved since. Node records
+arrival re-tests the range only if a node has moved since. While no node
+has moved, an honest receiver drops a valid request it has already seen at
+the radio, with one set lookup and no handler call; attackers and arrivals
+after a move still reach the handlers. Node records
 (credits, route changes) are built only when a log is kept: the live
 metrics fold none of them.
 
@@ -49,11 +52,13 @@ class ScenarioError(ValueError):
 # the name of a control message's kind in the event log
 _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
-# The most timer events (mobility ticks, CBR packets and control-flood
-# requests) a config may schedule before sim_time; far past it a run never
-# ends in practice. Not a knob: the largest config in the tests, the demos,
-# the default sweeps and the benchmark workloads (static-cbr) schedules
-# 36,600, over 100 times fewer.
+# The most timer work a config may schedule before sim_time, in units of
+# one node-step of a mobility tick (a tick steps every node), one CBR packet
+# or one control-flood request; far past it a run never ends in practice.
+# Not a knob: the largest config in the tests, the demos, the default sweeps
+# and the benchmark workloads schedules 102,000 (a 200-node, 50 s build in
+# the tests; scale-1000, 1000 nodes x 10 ticks/s x 10 s, schedules 100,400),
+# about 100 times less.
 MAX_TIMER_EVENTS = 10_000_000
 
 
@@ -123,15 +128,16 @@ class ScenarioConfig(ProtocolConfig):
         flows = self.flow_count if self.flows is None else len(self.flows)
         floods = (self.attacker_count if self.attacker_kind == CONTROL_FLOOD
                   else 0)
-        timers = {"mobility_tick": 1.0 / self.mobility_tick,    # per second
+        # work per second; a tick steps every node
+        timers = {"mobility_tick": self.node_count / self.mobility_tick,
                   "flow_rate": flows * self.flow_rate,
                   "flood_rate": floods * self.flood_rate}
         total = sum(timers.values()) * self.sim_time
         if total > MAX_TIMER_EVENTS:
             key = max(timers, key=timers.get)
             raise ScenarioError(
-                f"{key} schedules too many timer events: {total:.3g} before "
-                f"sim_time, above {MAX_TIMER_EVENTS:,}")
+                f"{key} schedules too much timer work: {total:.3g} node-steps "
+                f"and packets before sim_time, above {MAX_TIMER_EVENTS:,}")
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
@@ -478,12 +484,36 @@ class Simulation:
 
     def _transmission(self, sender: int, receivers, message, rows,
                       now: float):
+        """Hand one transmission to each receiver in turn. An honest
+        receiver that has already seen a valid request, while it is known
+        to be in range, drops it here as a duplicate, without a handler
+        call: the handler's first test would drop it and do nothing else.
+        Attackers still get every copy, since they may capture it."""
         valid = type(message) is DataPacket or wellformed(message)
         # positions change only where the rows are dropped, so while the
         # send's rows are current every receiver is still in range
         still = rows is not None and rows is self.mobility._nbr_cache
+        request = None
+        if valid and still and type(message) is Rreq:
+            request = (message.source_id, message.request_id)
+        nodes, attackers = self.nodes, self.attackers
+        duplicates = 0
         for receiver in receivers:
+            # tested at the receiver's own turn, against the seen set its
+            # handler would test; a handler changes no other node's set
+            if (request is not None
+                    and request in nodes[receiver].seen_requests
+                    and receiver not in attackers):
+                duplicates += 1
+                if self.keep_log:
+                    self.records.append(Record(
+                        time=now, node=receiver, kind="drop",
+                        details={"msg": "rreq",
+                                 "reason": protocol.DUPLICATE}))
+                continue
             self._arrival(sender, receiver, message, valid, now, still)
+        if duplicates:
+            self.collector.count_drops(protocol.DUPLICATE, duplicates)
 
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
                  now: float, still: bool = False):

@@ -103,3 +103,16 @@ def test_log_round_trip_preserves_metrics():
                           keep_log=True)
     text = format_log(records)
     assert fold(parse_log(text)) == report
+
+
+def test_request_ids_round_trip_as_text():
+    # a request id is 16 hex characters, which can read as a number: in
+    # this run "3e27941960784963" would parse as inf and "2695919936254074"
+    # as an int
+    _, records = run(ScenarioConfig(attacker_count=5, seed=4), keep_log=True)
+    starts = [r for r in records if r.kind == "discovery-start"]
+    parsed = [r for r in parse_log(format_log(records))
+              if r.kind == "discovery-start"]
+    assert "3e27941960784963" in [r.details["request_id"] for r in starts]
+    assert ([r.details["request_id"] for r in parsed]
+            == [r.details["request_id"] for r in starts])

@@ -14,6 +14,7 @@ from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rreq
 from lararp.metrics import fold
+from lararp.protocol import DROPPED, DUPLICATE, NodeState
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
                            Simulation, parse_scenario, run, step_mobility)
 
@@ -93,14 +94,18 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     ("area_width", "inf"), ("flow_rate", "1e9"), ("mobility_tick", "1e-9"),
     pytest.param("flood_rate",
                  "1e9\nattacker_kind = controlflood\nattacker_count = 1",
-                 id="flood_rate-1e9-controlflood")])
+                 id="flood_rate-1e9-controlflood"),
+    pytest.param("mobility_tick",
+                 "1e-5\nnode_count = 1000\narea_width = 3162\n"
+                 "area_height = 3162\npause_time = 0\nsim_time = 50",
+                 id="mobility_tick-1e-5-1000-nodes")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
     # or flood_rate never ends a run, nor does a rate or tick that
     # schedules billions of timer events (the flood only with a flooding
-    # attacker, set by the lines after flood_rate), and an infinite area
-    # places nodes at infinity
+    # attacker, set by the lines after flood_rate), nor 5 M ticks that each
+    # step 1000 nodes, and an infinite area places nodes at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -401,6 +406,79 @@ def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
     monkeypatch.setattr(Simulation, "_transmission", transmission)
     run(attack_config(kind, field, protocol))
     assert Rreq in arrived and DataPacket in arrived
+
+
+@PROTOCOLS
+@ATTACKS
+def test_radio_drops_as_duplicate_only_what_admit_would(monkeypatch, kind,
+                                                        field, protocol):
+    # the radio drops a seen request at an honest receiver without calling
+    # its handler; at that receiver's turn in the transmission, the
+    # handler's admission would have dropped it as a duplicate
+    skipped = []
+    pending = []    # receivers of the transmission in progress, in turn
+    real_transmission = Simulation._transmission
+    real_arrival = Simulation._arrival
+
+    def pass_over(sim, message, upto):
+        # every receiver ahead of upto (None: all left) got no _arrival
+        while pending and pending[0] != upto:
+            receiver = pending.pop(0)
+            assert type(message) is Rreq
+            assert receiver not in sim.attackers
+            assert sim.nodes[receiver]._admit(message) is DROPPED[DUPLICATE]
+            skipped.append(receiver)
+        if pending:
+            pending.pop(0)
+
+    def transmission(self, sender, receivers, message, *args):
+        pending[:] = receivers
+        real_transmission(self, sender, receivers, message, *args)
+        pass_over(self, message, None)
+
+    def arrival(self, sender, receiver, message, *args):
+        pass_over(self, message, receiver)
+        return real_arrival(self, sender, receiver, message, *args)
+
+    monkeypatch.setattr(Simulation, "_transmission", transmission)
+    monkeypatch.setattr(Simulation, "_arrival", arrival)
+    run(attack_config(kind, field, protocol))
+    assert skipped
+
+
+def test_seen_request_reaches_no_handler(monkeypatch):
+    # one discovery on a static line 0-1-2-3-4: each rebroadcast also
+    # reaches the hop it came from, which has seen the request, and the
+    # radio drops that copy without calling a handler
+    arrivals, calls = [], []
+    real_transmission = Simulation._transmission
+
+    def transmission(self, sender, receivers, message, *args):
+        if type(message) is Rreq:
+            arrivals.extend(receivers)
+        return real_transmission(self, sender, receivers, message, *args)
+
+    def counting(real):
+        def handler(self, rreq, prev_hop, now):
+            calls.append(self.id)
+            return real(self, rreq, prev_hop, now)
+        return handler
+
+    monkeypatch.setattr(Simulation, "_transmission", transmission)
+    for name in ("handle_rreq", "handle_rreq_at_destination"):
+        monkeypatch.setattr(NodeState, name,
+                            counting(getattr(NodeState, name)))
+    cfg = ScenarioConfig(node_count=5,
+                         positions=[(i * 200.0, 0.0) for i in range(5)],
+                         flows=[(0, 4)], flow_count=1, pause_time=100.0,
+                         sim_time=2.0)
+    report, records = run(cfg, keep_log=True)
+    assert report.pdr == 1.0
+    assert arrivals == [1, 0, 2, 1, 3, 2, 4]
+    assert calls == [1, 2, 3, 4]
+    assert [(r.node, r.details) for r in records if r.kind == "drop"] == [
+        (n, {"msg": "rreq", "reason": "duplicate"}) for n in (0, 1, 2)]
+    assert report.drops_by_reason == {"duplicate": 3}
 
 
 @PROTOCOLS
