@@ -7,7 +7,7 @@ from .messages import (DataPacket, EncodingError, Rrep, Rreq, decode, encode,
                        hop_digest)
 from .protocol import (NeighborTrustTable, NodeState, ProtocolConfig,
                        update_credit)
-from .adversary import Attacker, AttackerProfile
+from .adversary import AttackConfig, Attacker
 from .simnet import (MobilityState, ScenarioConfig, ScenarioError, Simulation,
                      load_scenario, parse_scenario, run, step_mobility)
 from .metrics import MetricsReport, fold

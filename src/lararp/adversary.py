@@ -2,7 +2,9 @@
 
 Attackers are insiders: they hold valid shared keys and key chains, so
 their misbehavior is only observable through the protocol's defenses.
-They never crash a run.
+They never crash a run. The attack settings are the fields of
+AttackConfig; an Attacker reads them from the scenario's config, which
+ScenarioConfig.validate has already checked.
 """
 
 import copy
@@ -27,24 +29,19 @@ TAMPER_FIELDS = ("source_id", "dest_id", "request_id", "source_tag",
                  "reverse_hop_tags")
 
 
-@dataclass
-class AttackerProfile:
-    kind: str
-    drop_prob: float = 0.5          # gray hole selectivity
-    tamper_field: str = "node_list"
-    replay_buffer: int = 8
-    replay_delay: float = 0.5       # seconds before re-injection
-    flood_rate: float = 2.0         # spurious RREQs per second
+# control messages a replay attacker captures for re-injection, at most
+REPLAY_BUFFER = 8
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown attacker kind {self.kind!r}")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in [0,1]")
-        if self.flood_rate <= 0:
-            raise ValueError("flood_rate must be positive")
-        if self.tamper_field not in TAMPER_FIELDS:
-            raise ValueError(f"unknown tamper_field {self.tamper_field!r}")
+
+@dataclass
+class AttackConfig:
+    """The attack settings; ScenarioConfig inherits them as scenario keys,
+    and its validate is their one check."""
+    attacker_kind: str = BLACK_HOLE    # one of KINDS
+    grayhole_drop_prob: float = 0.5    # gray hole selectivity
+    tamper_field: str = "node_list"    # one of TAMPER_FIELDS
+    replay_delay: float = 0.5          # seconds before re-injection
+    flood_rate: float = 2.0            # spurious RREQs per second
 
 
 def mutate_field(message, fieldname: str, rng):
@@ -83,14 +80,15 @@ def mutate_field(message, fieldname: str, rng):
 class Attacker:
     """Wraps one node; the simulator routes events through this shim."""
 
-    def __init__(self, profile: AttackerProfile, node, rng):
-        self.profile = profile
+    def __init__(self, config: AttackConfig, node, rng):
+        self.config = config
+        self.kind = config.attacker_kind
         self.node = node
         self.rng = rng
         self._replayed: list = []   # messages captured for re-injection
 
     def processing_delay(self, default: float) -> float:
-        if self.profile.kind == RUSHING:
+        if self.kind == RUSHING:
             return 0.0
         return default
 
@@ -99,15 +97,15 @@ class Attacker:
 
         Returns a list of (inject_at, message_copy) pairs.
         """
-        if self.profile.kind != REPLAY:
+        if self.kind != REPLAY:
             return []
         if not isinstance(message, (Rreq, Rrep)):
             return []
-        if len(self._replayed) >= self.profile.replay_buffer:
+        if len(self._replayed) >= REPLAY_BUFFER:
             return []
         stored = copy.deepcopy(message)
         self._replayed.append(stored)
-        return [(now + self.profile.replay_delay, copy.deepcopy(stored))]
+        return [(now + self.config.replay_delay, copy.deepcopy(stored))]
 
     def transform(self, inbound, result: HandlerResult):
         """Rewrite an honest handler result according to the attack.
@@ -116,7 +114,7 @@ class Attacker:
         drops under the attacker's kind. A rewrite is a new result, and
         tampering corrupts messages before they go on the air.
         """
-        kind = self.profile.kind
+        kind = self.kind
         dropped: list[DataPacket] = []
         if kind in (BLACK_HOLE, GRAY_HOLE) and isinstance(inbound, DataPacket):
             kept = []
@@ -124,8 +122,9 @@ class Attacker:
                 forwarding = (isinstance(action, Unicast)
                               and isinstance(action.message, DataPacket)
                               and self.node.id != action.message.source_id)
-                if forwarding and (kind == BLACK_HOLE
-                                   or self.rng.random() < self.profile.drop_prob):
+                if forwarding and (
+                        kind == BLACK_HOLE
+                        or self.rng.random() < self.config.grayhole_drop_prob):
                     dropped.append(action.message)
                 else:
                     kept.append(action)
@@ -136,7 +135,7 @@ class Attacker:
                 if isinstance(action, (Broadcast, Unicast)) and isinstance(
                         action.message, (Rreq, Rrep)):
                     try:
-                        mutate_field(action.message, self.profile.tamper_field,
+                        mutate_field(action.message, self.config.tamper_field,
                                      self.rng)
                     except (ValueError, AttributeError):
                         pass   # field not present on this message type

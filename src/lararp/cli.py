@@ -9,21 +9,27 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import protocol, simnet
 from .eventlog import format_log
 from .metrics import MetricsReport
 from .simnet import ScenarioConfig, ScenarioError
 
-CSV_COLUMNS = [
+# a row is these ScenarioConfig fields, then these MetricsReport fields
+CONFIG_COLUMNS = (
     "protocol", "seed", "node_count", "attacker_count", "attacker_kind",
-    "pause_time", "sim_time", "flow_count", "flow_rate",
+    "pause_time", "sim_time", "flow_count", "flow_rate")
+REPORT_COLUMNS = (
     "data_sent", "data_delivered", "data_dropped", "data_lost",
     "data_in_flight", "control_packets",
     "pdr", "avg_delay", "control_overhead",
-    "hop_tag_checks", "hop_tag_checks_at_dest",
-]
+    "hop_tag_checks", "hop_tag_checks_at_dest")
+CSV_COLUMNS = [*CONFIG_COLUMNS, *REPORT_COLUMNS]
+
+# the report fields mean_report averages as they are; it rounds the mean of
+# each other field and leaves drops_by_reason empty
+RATIOS = ("pdr", "avg_delay", "control_overhead")
 
 ATTACKER_POINTS = [5, 10, 15, 20, 25]
 PAUSE_POINTS = [10.0, 20.0, 30.0, 40.0, 50.0]
@@ -40,29 +46,11 @@ def _fmt(value) -> str:
 
 def csv_row(config: ScenarioConfig, report: MetricsReport,
             seed_label=None) -> list[str]:
-    values = {
-        "protocol": config.protocol,
-        "seed": config.seed if seed_label is None else seed_label,
-        "node_count": config.node_count,
-        "attacker_count": config.attacker_count,
-        "attacker_kind": config.attacker_kind,
-        "pause_time": config.pause_time,
-        "sim_time": config.sim_time,
-        "flow_count": config.flow_count,
-        "flow_rate": config.flow_rate,
-        "data_sent": report.data_sent,
-        "data_delivered": report.data_delivered,
-        "data_dropped": report.data_dropped,
-        "data_lost": report.data_lost,
-        "data_in_flight": report.data_in_flight,
-        "control_packets": report.control_packets,
-        "pdr": report.pdr,
-        "avg_delay": report.avg_delay,
-        "control_overhead": report.control_overhead,
-        "hop_tag_checks": report.hop_tag_checks,
-        "hop_tag_checks_at_dest": report.hop_tag_checks_at_dest,
-    }
-    return [_fmt(values[c]) for c in CSV_COLUMNS]
+    values = ([getattr(config, c) for c in CONFIG_COLUMNS]
+              + [getattr(report, c) for c in REPORT_COLUMNS])
+    if seed_label is not None:
+        values[CONFIG_COLUMNS.index("seed")] = seed_label
+    return [_fmt(v) for v in values]
 
 
 def write_csv(path, rows):
@@ -119,19 +107,14 @@ def _mean(values):
 
 def mean_report(reports) -> MetricsReport:
     n = len(reports)
-    return MetricsReport(
-        pdr=_mean([r.pdr for r in reports]),
-        avg_delay=_mean([r.avg_delay for r in reports]),
-        control_overhead=_mean([r.control_overhead for r in reports]),
-        data_sent=round(sum(r.data_sent for r in reports) / n),
-        data_delivered=round(sum(r.data_delivered for r in reports) / n),
-        data_dropped=round(sum(r.data_dropped for r in reports) / n),
-        data_lost=round(sum(r.data_lost for r in reports) / n),
-        data_in_flight=round(sum(r.data_in_flight for r in reports) / n),
-        control_packets=round(sum(r.control_packets for r in reports) / n),
-        hop_tag_checks=round(sum(r.hop_tag_checks for r in reports) / n),
-        hop_tag_checks_at_dest=round(
-            sum(r.hop_tag_checks_at_dest for r in reports) / n))
+    means = {}
+    for f in fields(MetricsReport):
+        values = [getattr(r, f.name) for r in reports]
+        if f.name in RATIOS:
+            means[f.name] = _mean(values)
+        elif f.name != "drops_by_reason":
+            means[f.name] = round(sum(values) / n)
+    return MetricsReport(**means)
 
 
 def run_sweep(experiment: str, base: ScenarioConfig, seeds=None,

@@ -96,16 +96,13 @@ def update_credit(ntt: NeighborTrustTable, neighbor: int, event: str,
 class RouteEntry:
     dest: int
     route: list[int]
-    established_at: float
     valid: bool = True
 
 
 @dataclass
 class PendingRequest:
     request_id: bytes
-    dest: int
     sent_at: float
-    timeout: float
     retries_remaining: int
 
 
@@ -243,8 +240,7 @@ class NodeState:
         if retries is None:
             retries = self.config.rreq_retries
         self.pending[dest] = PendingRequest(
-            request_id=rreq.request_id, dest=dest, sent_at=now,
-            timeout=self.config.rreq_timeout, retries_remaining=retries)
+            request_id=rreq.request_id, sent_at=now, retries_remaining=retries)
         self.log("discovery-start", dest=dest,
                  request_id=rreq.request_id.hex())
         return rreq
@@ -415,8 +411,7 @@ class NodeState:
                                      reverse_tag_payload(rrep, hop), tag):
                 return HandlerResult.dropped(BAD_HOP_TAG, charged)
         self.routes[rrep.dest_id] = RouteEntry(dest=rrep.dest_id,
-                                               route=list(rrep.route),
-                                               established_at=now)
+                                               route=list(rrep.route))
         del self.pending[rrep.dest_id]
         self.log("route-accept", dest=rrep.dest_id, route=list(rrep.route))
         return HandlerResult([AcceptedRoute(rrep.dest_id, list(rrep.route))],
@@ -428,10 +423,11 @@ class NodeState:
         """Re-discover every timed-out pending request; give up when
         retries are exhausted."""
         actions = []
+        timeout = self.config.rreq_timeout
         for dest in list(self.pending):
             pend = self.pending[dest]
             # small slack absorbs float rounding in timer scheduling
-            if now - pend.sent_at < pend.timeout - 1e-9:
+            if now - pend.sent_at < timeout - 1e-9:
                 continue
             if pend.retries_remaining > 0:
                 del self.pending[dest]

@@ -35,14 +35,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import crypto, protocol
-from .adversary import (Attacker, AttackerProfile, CONTROL_FLOOD, KINDS,
+from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS,
                         TAMPER_FIELDS)
 from .eventlog import Record
 from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
 from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
-                       LinkBreak, NodeState, ProtocolConfig, Unicast,
-                       Unroutable)
+                       LinkBreak, NodeState, ProtocolConfig, Unicast)
 
 
 class ScenarioError(ValueError):
@@ -53,19 +52,21 @@ class ScenarioError(ValueError):
 _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
 # The most timer work a config may schedule before sim_time, in units of
-# one node-step of a mobility tick (a tick steps every node), one CBR packet
-# or one control-flood request; far past it a run never ends in practice.
-# Not a knob: the largest config in the tests, the demos, the default sweeps
-# and the benchmark workloads schedules 102,000 (a 200-node, 50 s build in
-# the tests; scale-1000, 1000 nodes x 10 ticks/s x 10 s, schedules 100,400),
-# about 100 times less.
+# one node-step of a mobility tick (a tick steps every node), one CBR packet,
+# one control-flood request or one discovery retry; far past it a run never
+# ends in practice. Not a knob: the largest config in the tests, the demos,
+# the default sweeps and the benchmark workloads schedules 102,500 (a
+# 200-node, 50 s build in the tests; scale-1000, 1000 nodes x 10 ticks/s x
+# 10 s, schedules 100,500), about 100 times less.
 MAX_TIMER_EVENTS = 10_000_000
 
 
 @dataclass
-class ScenarioConfig(ProtocolConfig):
+class ScenarioConfig(ProtocolConfig, AttackConfig):
     """A run's settings; the protocol's own knobs are those of
-    ProtocolConfig, and every node reads them from this config."""
+    ProtocolConfig and the attack settings those of AttackConfig, and
+    every node and attacker reads them from this config. validate is
+    the one check of every setting."""
     node_count: int = 100
     area_width: float = 1000.0
     area_height: float = 1000.0
@@ -79,11 +80,6 @@ class ScenarioConfig(ProtocolConfig):
     flow_count: int = 10
     flow_rate: float = 4.0
     attacker_count: int = 0
-    attacker_kind: str = "blackhole"
-    grayhole_drop_prob: float = 0.5
-    tamper_field: str = "node_list"
-    replay_delay: float = 0.5
-    flood_rate: float = 2.0
     seed: int = 1
     processing_delay: float = 0.001
     tag_verify_cost: float = 0.002
@@ -128,16 +124,22 @@ class ScenarioConfig(ProtocolConfig):
         flows = self.flow_count if self.flows is None else len(self.flows)
         floods = (self.attacker_count if self.attacker_kind == CONTROL_FLOOD
                   else 0)
+        # a flow retries each discovery it starts at most rreq_retries
+        # times, and its one pending discovery at most once per rreq_timeout
+        retry_rate = 1 / self.rreq_timeout if self.rreq_timeout else math.inf
         # work per second; a tick steps every node
         timers = {"mobility_tick": self.node_count / self.mobility_tick,
                   "flow_rate": flows * self.flow_rate,
-                  "flood_rate": floods * self.flood_rate}
+                  "flood_rate": floods * self.flood_rate,
+                  "rreq_retries": flows * min(
+                      self.flow_rate * self.rreq_retries, retry_rate)}
         total = sum(timers.values()) * self.sim_time
         if total > MAX_TIMER_EVENTS:
             key = max(timers, key=timers.get)
             raise ScenarioError(
-                f"{key} schedules too much timer work: {total:.3g} node-steps "
-                f"and packets before sim_time, above {MAX_TIMER_EVENTS:,}")
+                f"{key} schedules too much timer work: {total:.3g} node-steps, "
+                f"packets and retries before sim_time, above "
+                f"{MAX_TIMER_EVENTS:,}")
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
@@ -312,15 +314,10 @@ class Simulation:
                 neighbors_fn=self.mobility.neighbors,
                 log=self._node_logger(i))
 
-        self.attackers: dict[int, Attacker] = {}
-        profile = AttackerProfile(kind=config.attacker_kind,
-                                  drop_prob=config.grayhole_drop_prob,
-                                  tamper_field=config.tamper_field,
-                                  replay_delay=config.replay_delay,
-                                  flood_rate=config.flood_rate)
-        for i in attacker_ids:
-            self.attackers[i] = Attacker(
-                profile, self.nodes[i], random.Random(f"{seed}:attack:{i}"))
+        self.attackers: dict[int, Attacker] = {
+            i: Attacker(config, self.nodes[i],
+                        random.Random(f"{seed}:attack:{i}"))
+            for i in attacker_ids}
 
         # engine-owned send buffers: node -> dest -> packets awaiting a route
         self.buffers: dict[int, dict[int, list[DataPacket]]] = {
@@ -388,10 +385,9 @@ class Simulation:
             self._push(self.rng_traffic.uniform(0.0, interval),
                        self._flow_tick, f)
         for i, attacker in sorted(self.attackers.items()):
-            if attacker.profile.kind == CONTROL_FLOOD:
-                self._push(self.rng_traffic.uniform(
-                    0.0, 1.0 / attacker.profile.flood_rate),
-                    self._flood_tick, i)
+            if attacker.kind == CONTROL_FLOOD:
+                self._push(self.rng_traffic.uniform(0.0, 1.0 / cfg.flood_rate),
+                           self._flood_tick, i)
 
         while self._heap:
             time, _, handler, args = heapq.heappop(self._heap)
@@ -445,7 +441,7 @@ class Simulation:
             dest += 1
         rreq = self.nodes[node_id].new_rreq(dest, attacker.rng)
         self._broadcast(node_id, rreq, now)
-        self._push(now + 1.0 / attacker.profile.flood_rate, self._flood_tick,
+        self._push(now + 1.0 / self.config.flood_rate, self._flood_tick,
                    node_id)
 
     # -- radio ------------------------------------------------------------
@@ -545,13 +541,11 @@ class Simulation:
                 result = node.handle_rreq_at_destination(message, sender, now)
             else:
                 result = node.handle_rreq(message, sender, now)
-        elif kind is Rrep:
+        else:   # an Rrep, the only other kind on the air
             if receiver == message.source_id:
                 result = node.handle_rrep_at_source(message, sender, now)
             else:
                 result = node.handle_rrep(message, sender, now)
-        else:
-            return
 
         if node.hop_tag_checks != before_total:
             dest_delta = node.hop_tag_checks_as_dest - before_dest
@@ -567,7 +561,7 @@ class Simulation:
             result, dropped = attacker.transform(message, result)
             for pkt in dropped:
                 self._emit(now, receiver, "data-dropped", flow=pkt.flow_id,
-                           seq=pkt.seq, reason=attacker.profile.kind)
+                           seq=pkt.seq, reason=attacker.kind)
 
         if result.drop is not None:
             if kind is DataPacket:
@@ -603,8 +597,6 @@ class Simulation:
                 # immediate route-invalidation notification at the source
                 if pkt.source_id != node_id:
                     self.nodes[pkt.source_id].invalidate_route(action.dest)
-            elif isinstance(action, Unroutable):
-                self._drop_buffer(node_id, action.dest, now)
 
     def _flush_buffer(self, node_id: int, dest: int, now: float):
         packets = self.buffers[node_id].pop(dest, [])
@@ -626,19 +618,16 @@ class Simulation:
                        seq=packet.seq, reason="no-route")
 
     def _timer(self, node_id: int, now: float):
-        node = self.nodes[node_id]
-        actions = node.on_timer(now, self.rng_protocol)
-        for action in actions:
+        """Retry or give up each timed-out request of node_id. Every request
+        sent, by _originate or by a retry here, pushes its own wake-up for
+        its expiry, so no other wake-up is needed."""
+        for action in self.nodes[node_id].on_timer(now, self.rng_protocol):
             if isinstance(action, Broadcast):
                 self._broadcast(node_id, action.message, now)
-                self._push(now + node.config.rreq_timeout, self._timer,
+                self._push(now + self.config.rreq_timeout, self._timer,
                            node_id)
-            elif isinstance(action, Unroutable):
+            else:   # Unroutable
                 self._drop_buffer(node_id, action.dest, now)
-        if node.pending and not any(isinstance(a, Broadcast) for a in actions):
-            # keep a wake-up alive for requests that have not timed out yet
-            nxt = min(p.sent_at + p.timeout for p in node.pending.values())
-            self._push(max(nxt, now + 1e-6), self._timer, node_id)
 
     def _finalize(self):
         end = self.config.sim_time

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import World
-from lararp import protocol
-from lararp.adversary import (Attacker, AttackerProfile, KINDS,
-                              TAMPER_FIELDS, mutate_field)
+from lararp import adversary, protocol
+from lararp.adversary import (AttackConfig, Attacker, KINDS, TAMPER_FIELDS,
+                              mutate_field)
 from lararp.messages import DataPacket, Rreq
 from lararp.protocol import HandlerResult, Unicast
 from lararp.simnet import ScenarioConfig, run
@@ -27,13 +27,14 @@ def line_config(n=3, **kwargs):
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        AttackerProfile(kind="wormhole")
+        ScenarioConfig(attacker_kind="wormhole").validate()
     with pytest.raises(ValueError):
-        AttackerProfile(kind="grayhole", drop_prob=1.5)
+        ScenarioConfig(attacker_kind="grayhole",
+                       grayhole_drop_prob=1.5).validate()
     with pytest.raises(ValueError):
-        AttackerProfile(kind="controlflood", flood_rate=0)
+        ScenarioConfig(attacker_kind="controlflood", flood_rate=0).validate()
     with pytest.raises(ValueError):
-        AttackerProfile(kind="tamper", tamper_field="bogus")
+        ScenarioConfig(attacker_kind="tamper", tamper_field="bogus").validate()
 
 
 def test_tamper_fields_are_what_mutate_field_accepts():
@@ -74,11 +75,11 @@ def test_tamper_always_detected_at_destination():
     # RREQ in 100% of attempts (full verification pipeline)
     for attempt in range(20):
         world = World.line(4, full_verification=True, seed=attempt)
-        profile = AttackerProfile(kind="tamper", tamper_field="node_list")
-        attacker = Attacker(profile, world.nodes[2], random.Random(attempt))
+        config = AttackConfig(attacker_kind="tamper", tamper_field="node_list")
+        attacker = Attacker(config, world.nodes[2], random.Random(attempt))
 
         def tamper(msg, attacker=attacker):
-            mutate_field(msg, attacker.profile.tamper_field, attacker.rng)
+            mutate_field(msg, attacker.config.tamper_field, attacker.rng)
 
         out = world.discover(0, 3, [1, 2], mutate_rreq=(1, tamper))
         assert out["drop"] in ("bad-hop-tag", "bad-source-mac")
@@ -88,8 +89,8 @@ def test_transform_leaves_its_input_alone():
     # a rewrite is a new result: neither the handler's result nor the
     # shared drop results change
     world = World.line(3)
-    attacker = Attacker(AttackerProfile(kind="blackhole"), world.nodes[1],
-                        random.Random(0))
+    attacker = Attacker(AttackConfig(attacker_kind="blackhole"),
+                        world.nodes[1], random.Random(0))
     packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=2,
                         payload_size=512, route=[1], created_at=0.0)
     forwarding = world.nodes[1].forward_data(packet, 0, 0.0)
@@ -106,17 +107,18 @@ def test_transform_leaves_its_input_alone():
 
 
 def test_rushing_attacker_has_zero_processing_delay():
-    profile = AttackerProfile(kind="rushing")
-    attacker = Attacker(profile, None, random.Random(0))
+    config = AttackConfig(attacker_kind="rushing")
+    attacker = Attacker(config, None, random.Random(0))
     assert attacker.processing_delay(0.001) == 0.0
-    honest = Attacker(AttackerProfile(kind="blackhole"), None, random.Random(0))
+    honest = Attacker(AttackConfig(attacker_kind="blackhole"), None,
+                      random.Random(0))
     assert honest.processing_delay(0.001) == 0.001
 
 
 def test_replay_capture_schedules_injection():
     world = World.line(3)
-    profile = AttackerProfile(kind="replay", replay_delay=0.5)
-    attacker = Attacker(profile, world.nodes[1], random.Random(0))
+    config = AttackConfig(attacker_kind="replay", replay_delay=0.5)
+    attacker = Attacker(config, world.nodes[1], random.Random(0))
     rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
     injections = attacker.capture(rreq, now=1.0)
     assert len(injections) == 1
@@ -126,10 +128,11 @@ def test_replay_capture_schedules_injection():
     assert copy_msg == rreq and copy_msg is not rreq
 
 
-def test_replay_buffer_bounded():
+def test_replay_buffer_bounded(monkeypatch):
+    monkeypatch.setattr(adversary, "REPLAY_BUFFER", 2)
     world = World.line(3)
-    profile = AttackerProfile(kind="replay", replay_buffer=2)
-    attacker = Attacker(profile, world.nodes[1], random.Random(0))
+    config = AttackConfig(attacker_kind="replay")
+    attacker = Attacker(config, world.nodes[1], random.Random(0))
     for i in range(5):
         world.nodes[0].pending.clear()
         rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)

@@ -98,17 +98,29 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     pytest.param("mobility_tick",
                  "1e-5\nnode_count = 1000\narea_width = 3162\n"
                  "area_height = 3162\npause_time = 0\nsim_time = 50",
-                 id="mobility_tick-1e-5-1000-nodes")])
+                 id="mobility_tick-1e-5-1000-nodes"),
+    pytest.param("rreq_retries", "100000000\nrreq_timeout = 0",
+                 id="rreq_retries-1e8-timeout-0"),
+    pytest.param("rreq_retries", "100000000\nrreq_timeout = 1e-6",
+                 id="rreq_retries-1e8-timeout-1e-6")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
     # or flood_rate never ends a run, nor does a rate or tick that
     # schedules billions of timer events (the flood only with a flooding
     # attacker, set by the lines after flood_rate), nor 5 M ticks that each
-    # step 1000 nodes, and an infinite area places nodes at infinity
+    # step 1000 nodes, nor a discovery retried without end, and an infinite
+    # area places nodes at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
+
+
+def test_zero_rreq_timeout_with_default_retries_runs():
+    config = parse_scenario("rreq_timeout = 0\nnode_count = 10\n"
+                            "sim_time = 5\nflow_count = 3\n")
+    report, _ = run(config)
+    assert report.data_sent > 0
 
 
 def test_setup_hashes_no_key_chain_element(monkeypatch):
@@ -627,6 +639,26 @@ def test_unroutable_destination_counts_sends():
     assert report.data_delivered == 0
     assert report.pdr == 0.0
     assert report.drops_by_reason.get("no-route", 0) > 0
+
+
+def test_discovery_timer_fires_once_per_request(monkeypatch):
+    # every request sent, first or retried, pushes one wake-up for its own
+    # expiry, and nothing else wakes the timer
+    calls = []
+    timer = Simulation._timer
+
+    def counting_timer(self, node_id, now):
+        calls.append(node_id)
+        timer(self, node_id, now)
+
+    monkeypatch.setattr(Simulation, "_timer", counting_timer)
+    config = ScenarioConfig(node_count=40, area_width=1500, area_height=1500,
+                            sim_time=20, pause_time=0, speed_min=10,
+                            speed_max=30, flow_count=8, seed=2,
+                            rreq_timeout=0.03, rreq_retries=3)
+    _, records = run(config, keep_log=True)
+    starts = sum(r.kind == "discovery-start" for r in records)
+    assert 0 < len(calls) <= starts
 
 
 # -- global invariants ------------------------------------------------------
