@@ -5,7 +5,9 @@ POLICIES, not two code paths.
 Handlers are synchronous and engine-agnostic: they receive the current
 time and return a HandlerResult describing outbound actions, an optional
 drop reason, and how many expensive tag verifications were charged (the
-simulator converts the charge into processing latency).
+simulator converts the charge into processing latency). A data packet
+whose next hop is out of range is a plain LINK_BREAK drop: the node
+invalidates its own route, and the engine tells the packet's source.
 
 A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
@@ -131,12 +133,6 @@ class AcceptedRoute:
 
 
 @dataclass
-class LinkBreak:
-    packet: DataPacket
-    dest: int
-
-
-@dataclass
 class Unroutable:
     dest: int
 
@@ -156,7 +152,7 @@ class HandlerResult(NamedTuple):
 # One shared result per reason for every uncharged drop.
 DROPPED = {reason: HandlerResult((), reason) for reason in (
     DUPLICATE, BAD_VERIFIER, BAD_SOURCE_MAC, BAD_HOP_TAG, PROHIBITED,
-    NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, MALFORMED)}
+    NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, LINK_BREAK, MALFORMED)}
 
 
 def _noop_log(kind, **details):
@@ -209,11 +205,11 @@ class NodeState:
         entry = self.routes.get(dest)
         return entry is not None and entry.valid
 
-    def invalidate_route(self, dest: int, reason: str = LINK_BREAK):
+    def invalidate_route(self, dest: int):
         entry = self.routes.get(dest)
         if entry is not None and entry.valid:
             entry.valid = False
-            self.log("route-invalidated", dest=dest, reason=reason)
+            self.log("route-invalidated", dest=dest, reason=LINK_BREAK)
 
     def _credit(self, neighbor: int, event: str):
         # ids outside the network (a tampered node_list can name them, and
@@ -343,6 +339,31 @@ class NodeState:
         next_hop = rrep.route[-1] if rrep.route else rreq.source_id
         return HandlerResult([Unicast(next_hop, rrep)], None, charged)
 
+    def _check_reply(self, rrep: Rrep, pos: int,
+                     check_tags: bool) -> tuple[str | None, int]:
+        """The one verifier of a well-formed rrep at route position pos (-1
+        at the source): the destination's tag for this node, the number of
+        reverse tags the hops past pos have added, and, if check_tags, each
+        of those tags. Returns the drop reason or None, and the tag checks
+        made; they are counted here, and the caller bills them."""
+        checks = 1
+        reason = None
+        if not verify_tag(self.key(rrep.dest_id), rrep_body(rrep),
+                          rrep.dest_tags[pos + 1]):
+            reason = BAD_DEST_TAG
+        elif len(rrep.reverse_hop_tags) != len(rrep.route) - 1 - pos:
+            reason = MALFORMED
+        elif check_tags:
+            for j, tag in enumerate(rrep.reverse_hop_tags):
+                hop = rrep.route[-1 - j]
+                checks += 1
+                if not self._tag_matches(hop, rrep.source_id,
+                                         reverse_tag_payload(rrep, hop), tag):
+                    reason = BAD_HOP_TAG
+                    break
+        self._count_checks(checks)
+        return reason, checks
+
     def handle_rrep(self, rrep: Rrep, prev_hop: int, now: float) -> HandlerResult:
         """Reverse-path processing of a well-formed rrep at an intermediate
         node."""
@@ -356,24 +377,9 @@ class NodeState:
             return HandlerResult.dropped(NOT_IN_ROUTE)
         if rrep.dest_id not in self.publics:
             return HandlerResult.dropped(MALFORMED)
-        charged = 1
-        self._count_checks(1)
-        body = rrep_body(rrep)
-        if not verify_tag(self.key(rrep.dest_id), body, rrep.dest_tags[1 + pos]):
-            return HandlerResult.dropped(BAD_DEST_TAG, charged)
-        traversed = len(rrep.route) - 1 - pos
-        if len(rrep.reverse_hop_tags) != traversed:
-            return HandlerResult.dropped(MALFORMED, charged)
-        if self.path_checks:
-            # Verify every reverse tag accumulated so far.
-            for j in range(traversed):
-                hop = rrep.route[len(rrep.route) - 1 - j]
-                self._count_checks(1)
-                charged += 1
-                if not self._tag_matches(hop, rrep.source_id,
-                                         reverse_tag_payload(rrep, hop),
-                                         rrep.reverse_hop_tags[j]):
-                    return HandlerResult.dropped(BAD_HOP_TAG, charged)
+        reason, charged = self._check_reply(rrep, pos, self.path_checks)
+        if reason is not None:
+            return HandlerResult.dropped(reason, charged)
         forwarded = Rrep(source_id=rrep.source_id, dest_id=rrep.dest_id,
                          request_id_tag=rrep.request_id_tag,
                          route=list(rrep.route), dest_tags=list(rrep.dest_tags),
@@ -396,20 +402,9 @@ class NodeState:
         first_hop = rrep.route[0] if rrep.route else rrep.dest_id
         if first_hop not in self.neighbors_fn(self.id):
             return HandlerResult.dropped(BAD_FIRST_HOP)
-        charged = 1
-        self._count_checks(1)
-        body = rrep_body(rrep)
-        if not verify_tag(self.key(rrep.dest_id), body, rrep.dest_tags[0]):
-            return HandlerResult.dropped(BAD_DEST_TAG, charged)
-        if len(rrep.reverse_hop_tags) != len(rrep.route):
-            return HandlerResult.dropped(MALFORMED, charged)
-        for j, tag in enumerate(rrep.reverse_hop_tags):
-            hop = rrep.route[len(rrep.route) - 1 - j]
-            self._count_checks(1)
-            charged += 1
-            if not self._tag_matches(hop, self.id,
-                                     reverse_tag_payload(rrep, hop), tag):
-                return HandlerResult.dropped(BAD_HOP_TAG, charged)
+        reason, charged = self._check_reply(rrep, -1, True)
+        if reason is not None:
+            return HandlerResult.dropped(reason, charged)
         self.routes[rrep.dest_id] = RouteEntry(dest=rrep.dest_id,
                                                route=list(rrep.route))
         del self.pending[rrep.dest_id]
@@ -429,22 +424,21 @@ class NodeState:
             # small slack absorbs float rounding in timer scheduling
             if now - pend.sent_at < timeout - 1e-9:
                 continue
+            del self.pending[dest]
             if pend.retries_remaining > 0:
-                del self.pending[dest]
-                rreq = self.initiate_route_discovery(
-                    dest, now, rng, retries=pend.retries_remaining - 1)
-                if rreq is not None:
-                    actions.append(Broadcast(rreq))
+                # a pending request implies no valid route, so this builds one
+                actions.append(Broadcast(self.initiate_route_discovery(
+                    dest, now, rng, retries=pend.retries_remaining - 1)))
             else:
-                del self.pending[dest]
                 self.log("unroutable", dest=dest)
                 actions.append(Unroutable(dest))
         return actions
 
     def forward_data(self, packet: DataPacket, prev_hop: int | None,
                      now: float) -> HandlerResult:
-        """Source-route a data packet one hop, deliver it, or report a
-        broken link back to the source."""
+        """Source-route a data packet one hop or deliver it; a next hop out
+        of range drops it as LINK_BREAK and invalidates this node's own
+        route to its destination."""
         self._credit(prev_hop, FORWARDED)
         if self.id == packet.dest_id:
             return HandlerResult([Deliver(packet)])
@@ -458,6 +452,5 @@ class NodeState:
             return HandlerResult.dropped(NOT_IN_ROUTE)
         if next_hop not in self.neighbors_fn(self.id):
             self.invalidate_route(packet.dest_id)
-            return HandlerResult([LinkBreak(packet, packet.dest_id)],
-                                 LINK_BREAK)
+            return DROPPED[LINK_BREAK]
         return HandlerResult([Unicast(next_hop, packet)])

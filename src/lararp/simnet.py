@@ -16,7 +16,9 @@ on the air. Every receiver is in range when a message is sent, and an
 arrival re-tests the range only if a node has moved since. While no node
 has moved, an honest receiver drops a valid request it has already seen at
 the radio, with one set lookup and no handler call; attackers and arrivals
-after a move still reach the handlers. Node records
+after a move still reach the handlers. _apply settles every handler
+result: it logs the drop, carries out the actions, and reports a link
+break (a plain drop) to the packet's source at once. Node records
 (credits, route changes) are built only when a log is kept: the live
 metrics fold none of them.
 
@@ -41,7 +43,7 @@ from .eventlog import Record
 from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
 from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
-                       LinkBreak, NodeState, ProtocolConfig, Unicast)
+                       NodeState, ProtocolConfig, Unicast)
 
 
 class ScenarioError(ValueError):
@@ -52,12 +54,12 @@ class ScenarioError(ValueError):
 _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
 # The most timer work a config may schedule before sim_time, in units of
-# one node-step of a mobility tick (a tick steps every node), one CBR packet,
-# one control-flood request or one discovery retry; far past it a run never
-# ends in practice. Not a knob: the largest config in the tests, the demos,
-# the default sweeps and the benchmark workloads schedules 102,500 (a
-# 200-node, 50 s build in the tests; scale-1000, 1000 nodes x 10 ticks/s x
-# 10 s, schedules 100,500), about 100 times less.
+# one node-step of a mobility tick, one CBR packet, one control-flood
+# request or one hop of a discovery retry (a tick and a retry reach every
+# node); far past it a run never ends in practice. Not a knob: the largest
+# config in the tests, the demos, the default sweeps and the benchmark
+# workloads schedules 202,000 (a 200-node, 50 s build in the tests;
+# scale-1000 schedules 200,400), about 50 times less.
 MAX_TIMER_EVENTS = 10_000_000
 
 
@@ -121,24 +123,31 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
             raise ScenarioError("chain_length must be at least 1")
         if self.rreq_retries < 0:
             raise ScenarioError("rreq_retries must be nonnegative")
+        nodes = range(self.node_count)
+        for src, dst in self.flows or ():
+            if src == dst or src not in nodes or dst not in nodes:
+                raise ScenarioError(f"flow ({src}, {dst}) needs two distinct "
+                                    f"ids in range(node_count)")
+        if self.positions is not None and len(self.positions) != len(nodes):
+            raise ScenarioError("positions must cover every node")
         flows = self.flow_count if self.flows is None else len(self.flows)
         floods = (self.attacker_count if self.attacker_kind == CONTROL_FLOOD
                   else 0)
         # a flow retries each discovery it starts at most rreq_retries
         # times, and its one pending discovery at most once per rreq_timeout
         retry_rate = 1 / self.rreq_timeout if self.rreq_timeout else math.inf
-        # work per second; a tick steps every node
+        # work per second; a tick steps every node, and a retry floods it
         timers = {"mobility_tick": self.node_count / self.mobility_tick,
                   "flow_rate": flows * self.flow_rate,
                   "flood_rate": floods * self.flood_rate,
-                  "rreq_retries": flows * min(
+                  "rreq_retries": self.node_count * flows * min(
                       self.flow_rate * self.rreq_retries, retry_rate)}
         total = sum(timers.values()) * self.sim_time
         if total > MAX_TIMER_EVENTS:
             key = max(timers, key=timers.get)
             raise ScenarioError(
                 f"{key} schedules too much timer work: {total:.3g} node-steps, "
-                f"packets and retries before sim_time, above "
+                f"packets and retry hops before sim_time, above "
                 f"{MAX_TIMER_EVENTS:,}")
 
 
@@ -195,8 +204,6 @@ class MobilityState:
         self.now = 0.0
         n = config.node_count
         if config.positions is not None:
-            if len(config.positions) != n:
-                raise ScenarioError("positions must cover every node")
             self.x = [float(p[0]) for p in config.positions]
             self.y = [float(p[1]) for p in config.positions]
         else:
@@ -429,10 +436,13 @@ class Simulation:
             return
         self.buffers[src].setdefault(dest, []).append(packet)
         if dest not in node.pending:
-            rreq = node.initiate_route_discovery(dest, now, self.rng_protocol)
-            if rreq is not None:
-                self._broadcast(src, rreq, now)
-                self._push(now + node.config.rreq_timeout, self._timer, src)
+            self._request(src, node.initiate_route_discovery(
+                dest, now, self.rng_protocol), now)
+
+    def _request(self, node_id: int, rreq: Rreq, now: float):
+        """Send node_id's own request and wake its timer when it expires."""
+        self._broadcast(node_id, rreq, now)
+        self._push(now + self.config.rreq_timeout, self._timer, node_id)
 
     def _flood_tick(self, node_id: int, now: float):
         attacker = self.attackers[node_id]
@@ -513,9 +523,9 @@ class Simulation:
 
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
                  now: float, still: bool = False):
-        """Deliver one copy; valid is the transmission's verdict on it, and
-        still says that no node has moved since it was sent, so the range
-        test is skipped."""
+        """Hand one copy to its receiver's handler, and the result to _apply;
+        valid is the transmission's verdict on it, and still says that no
+        node has moved since it was sent, so the range test is skipped."""
         kind = type(message)
         if not (still or self.mobility.in_range(sender, receiver)):
             if kind is DataPacket:
@@ -530,8 +540,7 @@ class Simulation:
             for inject_at, copy_msg in attacker.capture(message, now):
                 self._push(inject_at, self._broadcast, receiver, copy_msg)
 
-        before_total = node.hop_tag_checks
-        before_dest = node.hop_tag_checks_as_dest
+        before = node.hop_tag_checks
         if not valid:
             result = protocol.DROPPED[protocol.MALFORMED]
         elif kind is DataPacket:
@@ -547,36 +556,36 @@ class Simulation:
             else:
                 result = node.handle_rrep(message, sender, now)
 
-        if node.hop_tag_checks != before_total:
-            dest_delta = node.hop_tag_checks_as_dest - before_dest
-            other_delta = node.hop_tag_checks - before_total - dest_delta
-            if dest_delta:
-                self._emit(now, receiver, "hop-tag-verify", n=dest_delta,
-                           role="dest")
-            if other_delta:
-                self._emit(now, receiver, "hop-tag-verify", n=other_delta,
-                           role="path")
+        if node.hop_tag_checks != before:
+            # only the destination's RREQ handler counts destination checks
+            role = ("dest" if kind is Rreq and receiver == message.dest_id
+                    else "path")
+            self._emit(now, receiver, "hop-tag-verify",
+                       n=node.hop_tag_checks - before, role=role)
 
         if attacker is not None:
             result, dropped = attacker.transform(message, result)
             for pkt in dropped:
                 self._emit(now, receiver, "data-dropped", flow=pkt.flow_id,
                            seq=pkt.seq, reason=attacker.kind)
+        self._apply(receiver, message, result, now)
 
+    def _apply(self, node_id: int, message, result: HandlerResult,
+               now: float):
+        """Log the drop of node_id's handler result for message and carry
+        out its actions. A relay's link break invalidates the source's route
+        at once; at the source, forward_data has already done so."""
         if result.drop is not None:
-            if kind is DataPacket:
-                if result.drop != protocol.LINK_BREAK:
-                    # link-break drops are logged via the LinkBreak action
-                    self._emit(now, receiver, "data-dropped",
-                               flow=message.flow_id, seq=message.seq,
-                               reason=result.drop)
+            if type(message) is DataPacket:
+                self._emit(now, node_id, "data-dropped", flow=message.flow_id,
+                           seq=message.seq, reason=result.drop)
+                if (result.drop == protocol.LINK_BREAK
+                        and message.source_id != node_id):
+                    self.nodes[message.source_id].invalidate_route(
+                        message.dest_id)
             else:
-                self._emit(now, receiver, "drop", msg=_MSG_KIND[kind],
-                           reason=result.drop)
-        if result.actions:
-            self._apply(receiver, result, now)
-
-    def _apply(self, node_id: int, result: HandlerResult, now: float):
+                self._emit(now, node_id, "drop",
+                           msg=_MSG_KIND[type(message)], reason=result.drop)
         # charged tag checks delay whatever the node sends in response
         t_eff = now + result.charged * self.config.tag_verify_cost
         for action in result.actions:
@@ -590,13 +599,6 @@ class Simulation:
                            seq=pkt.seq, delay=now - pkt.created_at)
             elif isinstance(action, AcceptedRoute):
                 self._flush_buffer(node_id, action.dest, t_eff)
-            elif isinstance(action, LinkBreak):
-                pkt = action.packet
-                self._emit(now, node_id, "data-dropped", flow=pkt.flow_id,
-                           seq=pkt.seq, reason=protocol.LINK_BREAK)
-                # immediate route-invalidation notification at the source
-                if pkt.source_id != node_id:
-                    self.nodes[pkt.source_id].invalidate_route(action.dest)
 
     def _flush_buffer(self, node_id: int, dest: int, now: float):
         packets = self.buffers[node_id].pop(dest, [])
@@ -610,7 +612,7 @@ class Simulation:
     def _source_route(self, node: NodeState, packet: DataPacket, now: float):
         """Send a packet from its source along the node's valid route."""
         packet.route = list(node.routes[packet.dest_id].route)
-        self._apply(node.id, node.forward_data(packet, None, now), now)
+        self._apply(node.id, packet, node.forward_data(packet, None, now), now)
 
     def _drop_buffer(self, node_id: int, dest: int, now: float):
         for packet in self.buffers[node_id].pop(dest, []):
@@ -620,12 +622,10 @@ class Simulation:
     def _timer(self, node_id: int, now: float):
         """Retry or give up each timed-out request of node_id. Every request
         sent, by _originate or by a retry here, pushes its own wake-up for
-        its expiry, so no other wake-up is needed."""
+        its expiry in _request, so no other wake-up is needed."""
         for action in self.nodes[node_id].on_timer(now, self.rng_protocol):
             if isinstance(action, Broadcast):
-                self._broadcast(node_id, action.message, now)
-                self._push(now + self.config.rreq_timeout, self._timer,
-                           node_id)
+                self._request(node_id, action.message, now)
             else:   # Unroutable
                 self._drop_buffer(node_id, action.dest, now)
 

@@ -40,6 +40,18 @@ def test_config_validation():
         ScenarioConfig(protocol="dsr").validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(flows=[(0, 50)]), dict(flows=[(3, 3)]), dict(flows=[(-1, 3)]),
+    dict(positions=[(0.0, 0.0)] * 9)],
+    ids=["flow-to-node-50", "flow-to-itself", "flow-from-node-minus-1",
+         "positions-for-9-nodes"])
+def test_validate_rejects_flows_and_positions_outside_the_network(overrides):
+    # each of these passed validate: the flows then crashed the run with a
+    # KeyError, and the positions were refused only when it was built
+    with pytest.raises(ScenarioError):
+        ScenarioConfig(node_count=10, **overrides).validate()
+
+
 def test_scenario_parse_round_trip():
     text = """
 # comment
@@ -102,15 +114,18 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     pytest.param("rreq_retries", "100000000\nrreq_timeout = 0",
                  id="rreq_retries-1e8-timeout-0"),
     pytest.param("rreq_retries", "100000000\nrreq_timeout = 1e-6",
-                 id="rreq_retries-1e8-timeout-1e-6")])
+                 id="rreq_retries-1e8-timeout-1e-6"),
+    pytest.param("rreq_retries", "1000\nrreq_timeout = 0",
+                 id="rreq_retries-1000-timeout-0")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
     # or flood_rate never ends a run, nor does a rate or tick that
     # schedules billions of timer events (the flood only with a flooding
     # attacker, set by the lines after flood_rate), nor 5 M ticks that each
-    # step 1000 nodes, nor a discovery retried without end, and an infinite
-    # area places nodes at infinity
+    # step 1000 nodes, nor a discovery retried without end, nor a thousand
+    # instant retries that each flood every node, and an infinite area
+    # places nodes at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -578,6 +593,49 @@ def test_in_flight_loss_when_receiver_moves_away():
     sim.mobility._nbr_cache = None
     sim._arrival(0, 1, packet, True, 0.01)
     assert any(r.kind == "data-lost" for r in sim.records)
+
+
+def line_run_with_move(node, x):
+    """The log of a static 4-node line carrying flow 0 -> 3, in which node
+    moves to (x, 0) at t = 2 s, after the route is in use."""
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(i * 200.0, 0.0) for i in range(4)],
+                         flows=[(0, 3)], flow_count=1, pause_time=100.0,
+                         sim_time=4.0)
+    sim = Simulation(cfg, keep_log=True)
+
+    def move(now):
+        sim.mobility.x[node] = x
+        sim.mobility._nbr_cache = None
+
+    sim._push(2.0, move)
+    sim.run()
+    return sim.records
+
+
+def link_breaks_and_invalidations(records):
+    breaks = [r for r in records if r.kind == "data-dropped"
+              and r.details["reason"] == "link-break"]
+    invalidated = [r for r in records if r.kind == "route-invalidated"]
+    return breaks, invalidated
+
+
+def test_link_break_at_relay_invalidates_the_source_route():
+    records = line_run_with_move(3, 5000.0)
+    (drop,), (invalidated,) = link_breaks_and_invalidations(records)
+    assert drop.node == 2
+    assert (invalidated.node, invalidated.details) == (
+        0, {"dest": 3, "reason": "link-break"})
+    # the source hears of the break at once, before any other record
+    assert records.index(invalidated) == records.index(drop) + 1
+
+
+def test_link_break_at_source_notifies_no_other_node():
+    records = line_run_with_move(1, 5000.0)
+    (drop,), (invalidated,) = link_breaks_and_invalidations(records)
+    assert drop.node == invalidated.node == 0
+    assert invalidated.details == {"dest": 3, "reason": "link-break"}
+    assert records.index(drop) == records.index(invalidated) + 1
 
 
 # -- mobility ---------------------------------------------------------------
