@@ -69,7 +69,7 @@ def main():
 
     result = nodes[0].handle_rrep_at_source(rrep, prev, now=0.0)
     print(f"node 0 verified {result.charged} tags and accepted the route:"
-          f" {nodes[0].routes[4].route}")
+          f" {nodes[0].routes[4]}")
 
     print("\n== a tampered copy is rejected ==")
     nodes2 = build_line(5)

@@ -39,8 +39,8 @@ class MetricsCollector:
         self.hop_tag_checks_at_dest = 0
 
     def observe(self, kind: str, details: dict):
-        """Fold one record, given as its kind and details; the most
-        frequent kind, a control-message drop, is tested first."""
+        """Fold one record, given as its kind and details. The radio folds
+        its duplicate drops in count_drops, so no kind leads every run."""
         if kind == "drop":
             reason = details["reason"]
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1

@@ -13,7 +13,8 @@ A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
 drops a malformed one at every receiver without calling a handler, and
 a test harness that plays the radio must do the same. Results are
-immutable; an uncharged drop returns the shared result in DROPPED.
+immutable; an uncharged drop returns the shared result in DROPPED, and a
+charged one is HandlerResult((), reason, charged).
 """
 
 from collections.abc import Sequence
@@ -95,13 +96,6 @@ def update_credit(ntt: NeighborTrustTable, neighbor: int, event: str,
 
 
 @dataclass
-class RouteEntry:
-    dest: int
-    route: list[int]
-    valid: bool = True
-
-
-@dataclass
 class PendingRequest:
     request_id: bytes
     sent_at: float
@@ -142,12 +136,6 @@ class HandlerResult(NamedTuple):
     drop: str | None = None
     charged: int = 0       # expensive tag verifications to bill as latency
 
-    @classmethod
-    def dropped(cls, reason, charged=0):
-        if not charged:
-            return DROPPED[reason]
-        return cls((), reason, charged)
-
 
 # One shared result per reason for every uncharged drop.
 DROPPED = {reason: HandlerResult((), reason) for reason in (
@@ -161,9 +149,9 @@ def _noop_log(kind, **details):
 
 class NodeState:
     """One node's routing state, run under the verification policy of
-    config.protocol: whether it keeps credit, whether it checks the tags
-    of the whole path as a forwarder, and whether as a destination it
-    checks every hop or only the hops it has not vetted."""
+    config.protocol: whether it keeps credit, and whether it checks the
+    tags of the whole path as a forwarder. As a destination it checks
+    every hop it has not vetted, and under full_verification every hop."""
 
     def __init__(self, node_id: int, keychain: crypto.KeyChain,
                  shared_keys: crypto.SharedKeyTable, publics: dict,
@@ -171,7 +159,6 @@ class NodeState:
         if config.protocol not in POLICIES:
             raise ValueError(f"unknown protocol {config.protocol!r}")
         self.keeps_credit, self.path_checks = POLICIES[config.protocol]
-        self.dest_checks_all = self.path_checks or config.full_verification
         self.id = node_id
         self.keychain = keychain
         self.shared_keys = shared_keys
@@ -180,7 +167,7 @@ class NodeState:
         self.neighbors_fn = neighbors_fn        # node id -> container of neighbor ids
         self.log = log
         self.ntt = NeighborTrustTable(config.initial_credit)
-        self.routes: dict[int, RouteEntry] = {}
+        self.routes: dict[int, list[int]] = {}     # dest -> valid route
         self.seen_requests: set[tuple[int, bytes]] = set()
         self.pending: dict[int, PendingRequest] = {}
         # Instrumentation: how many per-hop tag checks this node performed.
@@ -202,13 +189,10 @@ class NodeState:
         return compute_tag(key, payload) == tag
 
     def has_route(self, dest: int) -> bool:
-        entry = self.routes.get(dest)
-        return entry is not None and entry.valid
+        return dest in self.routes
 
     def invalidate_route(self, dest: int):
-        entry = self.routes.get(dest)
-        if entry is not None and entry.valid:
-            entry.valid = False
+        if self.routes.pop(dest, None) is not None:
             self.log("route-invalidated", dest=dest, reason=LINK_BREAK)
 
     def _credit(self, neighbor: int, event: str):
@@ -280,14 +264,11 @@ class NodeState:
             # Signature-everywhere baseline: check every accumulated hop tag
             # at every node. Uncharged here so flood timing stays comparable;
             # the workload is still counted.
-            self._count_checks(len(rreq.hop_tags))
-            for k, node in enumerate(rreq.node_list):
-                if not self._tag_matches(node, rreq.dest_id,
-                                         hop_digest(rreq, k),
-                                         rreq.hop_tags[k]):
-                    return HandlerResult.dropped(BAD_HOP_TAG)
+            reason, _ = self._check_hops(rreq, as_dest=False)
+            if reason is not None:
+                return DROPPED[reason]
         if rreq.dest_id not in self.publics:
-            return HandlerResult.dropped(MALFORMED)
+            return DROPPED[MALFORMED]
         self._credit(prev_hop, FORWARDED)
         forwarded = Rreq(source_id=rreq.source_id, dest_id=rreq.dest_id,
                          request_id=rreq.request_id, source_tag=rreq.source_tag,
@@ -302,31 +283,18 @@ class NodeState:
 
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
                                    now: float) -> HandlerResult:
-        """Destination pipeline for a well-formed rreq: source verifier and
-        MAC always; hop tags of every hop under dest_checks_all, else of
-        every hop not vetted."""
+        """Destination pipeline for a well-formed rreq: the source's verifier
+        and MAC, the previous hop's credit, then _check_hops; its checks
+        are billed."""
         if (dropped := self._admit(rreq)) is not None:
             return dropped
         if not verify_tag(self.key(rreq.source_id), rreq.request_id,
                           rreq.source_tag):
-            return HandlerResult.dropped(BAD_SOURCE_MAC)
+            return DROPPED[BAD_SOURCE_MAC]
         self._credit(prev_hop, FORWARDED)
-        charged = 0
-        cfg = self.config
-        for k, node in enumerate(rreq.node_list):
-            # a node with no key chain is never vetted
-            vetted = (self.keeps_credit and node in self.publics
-                      and self.ntt.get(node) >= cfg.credit_threshold)
-            if vetted and not self.dest_checks_all:
-                continue
-            self._count_checks(1, as_dest=True)
-            charged += 1
-            if not self._tag_matches(node, self.id, hop_digest(rreq, k),
-                                     rreq.hop_tags[k]):
-                self._credit(node, MISBEHAVED)
-                return HandlerResult.dropped(BAD_HOP_TAG, charged)
-            if self.keeps_credit and not vetted:
-                return HandlerResult.dropped(PROHIBITED, charged)
+        reason, charged = self._check_hops(rreq, as_dest=True)
+        if reason is not None:
+            return HandlerResult((), reason, charged)
         self.seen_requests.add((rreq.source_id, rreq.request_id))
         rrep = Rrep(source_id=rreq.source_id, dest_id=self.id,
                     request_id_tag=compute_tag(self.key(rreq.source_id),
@@ -338,6 +306,33 @@ class NodeState:
         self.log("rrep-issued", src=rreq.source_id, route=list(rrep.route))
         next_hop = rrep.route[-1] if rrep.route else rreq.source_id
         return HandlerResult([Unicast(next_hop, rrep)], None, charged)
+
+    def _check_hops(self, rreq: Rreq,
+                    as_dest: bool) -> tuple[str | None, int]:
+        """The one verifier of a well-formed rreq's hop tags, at a baseline
+        forwarder or at the destination. Every hop not vetted by credit, and
+        under full_verification every hop, is checked under its key with
+        rreq.dest_id: a failed tag punishes the hop, and under credit a hop
+        not vetted is prohibited. Returns the drop reason or None, and the
+        checks made; they are counted here."""
+        checks, reason = 0, None
+        for k, node in enumerate(rreq.node_list):
+            # a node with no key chain is never vetted
+            vetted = (self.keeps_credit and node in self.publics
+                      and self.ntt.get(node) >= self.config.credit_threshold)
+            if vetted and not self.config.full_verification:
+                continue
+            checks += 1
+            if not self._tag_matches(node, rreq.dest_id, hop_digest(rreq, k),
+                                     rreq.hop_tags[k]):
+                self._credit(node, MISBEHAVED)
+                reason = BAD_HOP_TAG
+                break
+            if self.keeps_credit and not vetted:
+                reason = PROHIBITED
+                break
+        self._count_checks(checks, as_dest)
+        return reason, checks
 
     def _check_reply(self, rrep: Rrep, pos: int,
                      check_tags: bool) -> tuple[str | None, int]:
@@ -368,18 +363,18 @@ class NodeState:
         """Reverse-path processing of a well-formed rrep at an intermediate
         node."""
         if self.id not in rrep.route:
-            return HandlerResult.dropped(NOT_IN_ROUTE)
+            return DROPPED[NOT_IN_ROUTE]
         pos = rrep.route.index(self.id)
         toward_dest = rrep.route[pos + 1] if pos + 1 < len(rrep.route) else rrep.dest_id
         toward_src = rrep.route[pos - 1] if pos > 0 else rrep.source_id
         neighbors = self.neighbors_fn(self.id)
         if toward_dest not in neighbors or toward_src not in neighbors:
-            return HandlerResult.dropped(NOT_IN_ROUTE)
+            return DROPPED[NOT_IN_ROUTE]
         if rrep.dest_id not in self.publics:
-            return HandlerResult.dropped(MALFORMED)
+            return DROPPED[MALFORMED]
         reason, charged = self._check_reply(rrep, pos, self.path_checks)
         if reason is not None:
-            return HandlerResult.dropped(reason, charged)
+            return HandlerResult((), reason, charged)
         forwarded = Rrep(source_id=rrep.source_id, dest_id=rrep.dest_id,
                          request_id_tag=rrep.request_id_tag,
                          route=list(rrep.route), dest_tags=list(rrep.dest_tags),
@@ -395,18 +390,17 @@ class NodeState:
         source."""
         pend = self.pending.get(rrep.dest_id)
         if pend is None:
-            return HandlerResult.dropped(REPLAY)
+            return DROPPED[REPLAY]
         if not verify_tag(self.key(rrep.dest_id), pend.request_id,
                           rrep.request_id_tag):
-            return HandlerResult.dropped(REPLAY)
+            return DROPPED[REPLAY]
         first_hop = rrep.route[0] if rrep.route else rrep.dest_id
         if first_hop not in self.neighbors_fn(self.id):
-            return HandlerResult.dropped(BAD_FIRST_HOP)
+            return DROPPED[BAD_FIRST_HOP]
         reason, charged = self._check_reply(rrep, -1, True)
         if reason is not None:
-            return HandlerResult.dropped(reason, charged)
-        self.routes[rrep.dest_id] = RouteEntry(dest=rrep.dest_id,
-                                               route=list(rrep.route))
+            return HandlerResult((), reason, charged)
+        self.routes[rrep.dest_id] = list(rrep.route)
         del self.pending[rrep.dest_id]
         self.log("route-accept", dest=rrep.dest_id, route=list(rrep.route))
         return HandlerResult([AcceptedRoute(rrep.dest_id, list(rrep.route))],
@@ -449,7 +443,7 @@ class NodeState:
             pos = route.index(self.id)
             next_hop = route[pos + 1] if pos + 1 < len(route) else packet.dest_id
         else:
-            return HandlerResult.dropped(NOT_IN_ROUTE)
+            return DROPPED[NOT_IN_ROUTE]
         if next_hop not in self.neighbors_fn(self.id):
             self.invalidate_route(packet.dest_id)
             return DROPPED[LINK_BREAK]

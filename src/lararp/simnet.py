@@ -54,12 +54,12 @@ class ScenarioError(ValueError):
 _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
 # The most timer work a config may schedule before sim_time, in units of
-# one node-step of a mobility tick, one CBR packet, one control-flood
-# request or one hop of a discovery retry (a tick and a retry reach every
-# node); far past it a run never ends in practice. Not a knob: the largest
-# config in the tests, the demos, the default sweeps and the benchmark
-# workloads schedules 202,000 (a 200-node, 50 s build in the tests;
-# scale-1000 schedules 200,400), about 50 times less.
+# one node-step of a mobility tick, one CBR packet, or one hop of a flood
+# request or of a discovery retry (each reaches every node); far past it a
+# run never ends in practice. Not a knob: the largest config in the tests,
+# the demos, the default sweeps and the benchmark workloads schedules
+# 202,000 (a 200-node, 50 s build in the tests; scale-1000 schedules
+# 200,400), about 50 times less.
 MAX_TIMER_EVENTS = 10_000_000
 
 
@@ -131,15 +131,22 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
         if self.positions is not None and len(self.positions) != len(nodes):
             raise ScenarioError("positions must cover every node")
         flows = self.flow_count if self.flows is None else len(self.flows)
+        if self.flows is None and flows > len(nodes) * (len(nodes) - 1):
+            raise ScenarioError("flow_count exceeds the ordered node pairs")
+        # attackers are drawn from the nodes no flow uses; drawn flows use at
+        # least two, and Simulation checks the nodes they do use
+        endpoints = 2 if self.flows is None else len(set().union(*self.flows))
+        if self.attacker_count > len(nodes) - endpoints:
+            raise ScenarioError("attacker_count exceeds the non-endpoint nodes")
         floods = (self.attacker_count if self.attacker_kind == CONTROL_FLOOD
                   else 0)
         # a flow retries each discovery it starts at most rreq_retries
         # times, and its one pending discovery at most once per rreq_timeout
         retry_rate = 1 / self.rreq_timeout if self.rreq_timeout else math.inf
-        # work per second; a tick steps every node, and a retry floods it
+        # work per second; a tick, a flood request and a retry reach every node
         timers = {"mobility_tick": self.node_count / self.mobility_tick,
                   "flow_rate": flows * self.flow_rate,
-                  "flood_rate": floods * self.flood_rate,
+                  "flood_rate": self.node_count * floods * self.flood_rate,
                   "rreq_retries": self.node_count * flows * min(
                       self.flow_rate * self.rreq_retries, retry_rate)}
         total = sum(timers.values()) * self.sim_time
@@ -147,7 +154,7 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
             key = max(timers, key=timers.get)
             raise ScenarioError(
                 f"{key} schedules too much timer work: {total:.3g} node-steps, "
-                f"packets and retry hops before sim_time, above "
+                f"packets, flood hops and retry hops before sim_time, above "
                 f"{MAX_TIMER_EVENTS:,}")
 
 
@@ -601,17 +608,14 @@ class Simulation:
                 self._flush_buffer(node_id, action.dest, t_eff)
 
     def _flush_buffer(self, node_id: int, dest: int, now: float):
-        packets = self.buffers[node_id].pop(dest, [])
+        # the route's first hop was just found in range: every packet goes out
         node = self.nodes[node_id]
-        for packet in packets:
-            if not node.has_route(dest):
-                self.buffers[node_id].setdefault(dest, []).append(packet)
-                continue
+        for packet in self.buffers[node_id].pop(dest, []):
             self._source_route(node, packet, now)
 
     def _source_route(self, node: NodeState, packet: DataPacket, now: float):
         """Send a packet from its source along the node's valid route."""
-        packet.route = list(node.routes[packet.dest_id].route)
+        packet.route = list(node.routes[packet.dest_id])
         self._apply(node.id, packet, node.forward_data(packet, None, now), now)
 
     def _drop_buffer(self, node_id: int, dest: int, now: float):

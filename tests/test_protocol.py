@@ -290,6 +290,17 @@ def test_baseline_verifies_everything_lararp_does_not():
     assert base.nodes[6].hop_tag_checks_as_dest == 5
 
 
+def test_baseline_forwarder_counts_the_checks_it_makes():
+    # the forged first tag fails the first check, so node 3 stops there
+    def forge(msg):
+        msg.hop_tags[0] = bytes(16)
+
+    base = World.line(5, mode="baseline")
+    out = base.discover(0, 4, [1, 2, 3], mutate_rreq=(1, forge))
+    assert (out["dropped_at"], out["drop"]) == (3, BAD_HOP_TAG)
+    assert base.nodes[3].hop_tag_checks == 1
+
+
 def test_baseline_has_no_trust_table():
     base = World.line(3, mode="baseline")
     out = base.discover(0, 2, [1])

@@ -52,6 +52,19 @@ def test_validate_rejects_flows_and_positions_outside_the_network(overrides):
         ScenarioConfig(node_count=10, **overrides).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(node_count=2, flow_count=3),
+    dict(node_count=10, flow_count=5, attacker_count=9),
+    dict(node_count=10, flows=[(0, 1), (2, 3)], attacker_count=7)],
+    ids=["3-flows-at-2-nodes", "9-attackers-at-10-nodes",
+         "7-attackers-besides-4-endpoints"])
+def test_validate_rejects_what_the_engine_cannot_build(overrides):
+    # each of these passed validate, and Simulation refused it only when
+    # it drew the flows or the attackers
+    with pytest.raises(ScenarioError):
+        ScenarioConfig(**overrides).validate()
+
+
 def test_scenario_parse_round_trip():
     text = """
 # comment
@@ -116,7 +129,10 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     pytest.param("rreq_retries", "100000000\nrreq_timeout = 1e-6",
                  id="rreq_retries-1e8-timeout-1e-6"),
     pytest.param("rreq_retries", "1000\nrreq_timeout = 0",
-                 id="rreq_retries-1000-timeout-0")])
+                 id="rreq_retries-1000-timeout-0"),
+    pytest.param("flood_rate",
+                 "1000\nattacker_kind = controlflood\nattacker_count = 10",
+                 id="flood_rate-1000-controlflood-10-attackers")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
@@ -124,8 +140,9 @@ def test_scenario_parse_rejects_unusable_value(key, value):
     # schedules billions of timer events (the flood only with a flooding
     # attacker, set by the lines after flood_rate), nor 5 M ticks that each
     # step 1000 nodes, nor a discovery retried without end, nor a thousand
-    # instant retries that each flood every node, and an infinite area
-    # places nodes at infinity
+    # instant retries that each flood every node, nor 10,000 flood requests
+    # a second that every node forwards, and an infinite area places nodes
+    # at infinity
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
