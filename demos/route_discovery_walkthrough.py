@@ -23,7 +23,7 @@ def build_line(n):
         chain = generate_keychain(bytes([i + 1]) * 16, 32, owner=i)
         publics[i] = chain.publics
         nodes[i] = NodeState(i, chain, shared, publics, config,
-                             neighbors_fn=lambda node: adjacency[node],
+                             in_range_fn=lambda a, b: b in adjacency[a],
                              log=lambda kind, **kw: None)
     return nodes
 

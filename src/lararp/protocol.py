@@ -155,7 +155,7 @@ class NodeState:
 
     def __init__(self, node_id: int, keychain: crypto.KeyChain,
                  shared_keys: crypto.SharedKeyTable, publics: dict,
-                 config: ProtocolConfig, neighbors_fn, log=_noop_log):
+                 config: ProtocolConfig, in_range_fn, log=_noop_log):
         if config.protocol not in POLICIES:
             raise ValueError(f"unknown protocol {config.protocol!r}")
         self.keeps_credit, self.path_checks = POLICIES[config.protocol]
@@ -164,7 +164,8 @@ class NodeState:
         self.shared_keys = shared_keys
         self.publics = publics                  # node id -> public verifier list
         self.config = config
-        self.neighbors_fn = neighbors_fn        # node id -> container of neighbor ids
+        # (a, b) -> whether b is a's neighbour; each hop tests its one link
+        self.in_range_fn = in_range_fn
         self.log = log
         self.ntt = NeighborTrustTable(config.initial_credit)
         self.routes: dict[int, list[int]] = {}     # dest -> valid route
@@ -367,8 +368,8 @@ class NodeState:
         pos = rrep.route.index(self.id)
         toward_dest = rrep.route[pos + 1] if pos + 1 < len(rrep.route) else rrep.dest_id
         toward_src = rrep.route[pos - 1] if pos > 0 else rrep.source_id
-        neighbors = self.neighbors_fn(self.id)
-        if toward_dest not in neighbors or toward_src not in neighbors:
+        if not (self.in_range_fn(self.id, toward_dest)
+                and self.in_range_fn(self.id, toward_src)):
             return DROPPED[NOT_IN_ROUTE]
         if rrep.dest_id not in self.publics:
             return DROPPED[MALFORMED]
@@ -395,7 +396,7 @@ class NodeState:
                           rrep.request_id_tag):
             return DROPPED[REPLAY]
         first_hop = rrep.route[0] if rrep.route else rrep.dest_id
-        if first_hop not in self.neighbors_fn(self.id):
+        if not self.in_range_fn(self.id, first_hop):
             return DROPPED[BAD_FIRST_HOP]
         reason, charged = self._check_reply(rrep, -1, True)
         if reason is not None:
@@ -444,7 +445,7 @@ class NodeState:
             next_hop = route[pos + 1] if pos + 1 < len(route) else packet.dest_id
         else:
             return DROPPED[NOT_IN_ROUTE]
-        if next_hop not in self.neighbors_fn(self.id):
+        if not self.in_range_fn(self.id, next_hop):
             self.invalidate_route(packet.dest_id)
             return DROPPED[LINK_BREAK]
         return HandlerResult([Unicast(next_hop, packet)])

@@ -4,15 +4,16 @@ drives protocol handlers and attacker shims.
 
 An event is a handler call: a heap entry is ``(time, ordinal, handler,
 args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
-time ties in push order. One transmission is one event and one
-validation: a broadcast or unicast pushes a single ``_transmission``
-naming its receivers (the sender's neighbour row at send time, or the one
-unicast receiver). It decides once whether a control message is
-well-formed, then hands the message to each receiver in turn, in
-ascending id order; every receiver drops a malformed one as it arrives,
-without a handler call. That verdict holds for every receiver because
-they all get the same object and nothing changes a message once it is
-on the air. Every receiver is in range when a message is sent, and an
+time ties in push order. One transmission is one event and one validation:
+a broadcast or unicast pushes a single ``_transmission`` naming its
+receivers. A neighbour row is the receiver set of a broadcast, taken at
+send time, and nothing else builds one: a unicast hop tests its one link
+with MobilityState.in_range. The transmission decides once whether a
+control message is well-formed, then hands the message to each receiver in
+turn, in ascending id order; every receiver drops a malformed one as it
+arrives, without a handler call. That verdict holds for every receiver
+because they all get the same object and nothing changes a message once it
+is on the air. Every receiver is in range when a message is sent, and an
 arrival re-tests the range only if a node has moved since. While no node
 has moved, an honest receiver drops a valid request it has already seen at
 the radio, with one set lookup and no handler call; attackers and arrivals
@@ -200,11 +201,13 @@ class MobilityState:
     """Random-waypoint state for every node. Nodes start paused at their
     initial placement, so pause_time >= sim_time yields a static network.
 
-    Neighbour rows are computed lazily, one per queried node, against numpy
-    copies of the positions taken once per change, and are kept until
-    step_mobility moves a node. ``_nbr_cache = None`` marks them stale, and
-    whatever moves a node must set it: the radio takes rows that are still
-    current to mean that no node has moved."""
+    A neighbour row is the receiver set of a broadcast; a unicast hop asks
+    in_range about its one link and builds no row. Rows are computed
+    lazily, one per queried node, against numpy copies of the positions
+    taken once per change, and are kept until step_mobility moves a node.
+    ``_nbr_cache = None`` marks them stale, and whatever moves a node must
+    set it: the radio takes rows that are still current to mean that no
+    node has moved."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random):
         self.config = config
@@ -220,12 +223,18 @@ class MobilityState:
         self.speed = [0.0] * n
         self.paused_until = [config.pause_time] * n
         self._nbr_cache: dict[int, list[int]] | None = None
+        self._node_count = n
+        self._range_sq = config.radio_range ** 2
 
     def in_range(self, a: int, b: int) -> bool:
-        """Whether a and b are within radio range; rounds as the numpy
-        neighbour rows do, so it agrees with neighbors() at the boundary."""
+        """Whether b is in neighbors(a), without building the row: False for
+        a == b and for an id outside the network. It rounds as the numpy
+        rows do and compares against the same squared range, so the two
+        agree at the boundary."""
+        if a == b or not 0 <= b < self._node_count:
+            return False
         dx, dy = self.x[a] - self.x[b], self.y[a] - self.y[b]
-        return dx * dx + dy * dy <= self.config.radio_range ** 2
+        return dx * dx + dy * dy <= self._range_sq
 
     def neighbors(self, node: int) -> list[int]:
         """Ids within radio range of node, ascending (hence deterministic).
@@ -238,7 +247,7 @@ class MobilityState:
         if row is None:
             xs, ys = self._xs, self._ys
             within = ((xs - xs[node]) ** 2 + (ys - ys[node]) ** 2
-                      <= self.config.radio_range ** 2)
+                      <= self._range_sq)
             within[node] = False
             row = self._nbr_cache[node] = np.flatnonzero(within).tolist()
         return row
@@ -325,7 +334,7 @@ class Simulation:
             publics[i] = chain.publics
             self.nodes[i] = NodeState(
                 i, chain, shared_keys, publics, config,
-                neighbors_fn=self.mobility.neighbors,
+                in_range_fn=self.mobility.in_range,
                 log=self._node_logger(i))
 
         self.attackers: dict[int, Attacker] = {
@@ -467,7 +476,7 @@ class Simulation:
         """Put message on the air at now: one event reaches every receiver
         after serialization plus the sender's processing delay. Every
         receiver is in range now: a broadcast names the sender's row, a data
-        packet goes to a hop that forward_data found in that row, and a
+        packet goes to a hop that forward_data found in range, and a
         control unicast passed in_range. The event keeps the neighbour rows
         current now, so the arrival knows whether any node moved since."""
         if not isinstance(message, DataPacket):

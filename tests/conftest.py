@@ -35,7 +35,7 @@ class World:
             self.publics[i] = chain.publics
             self.nodes[i] = NodeState(
                 i, chain, self.shared_keys, self.publics, self.config,
-                neighbors_fn=lambda node: self.adjacency[node],
+                in_range_fn=lambda a, b: b in self.adjacency[a],
                 log=self._logger(i))
 
     def _logger(self, node):

@@ -240,14 +240,15 @@ def test_neighbor_symmetry_random_placements():
     cfg = small_config()
     sim = Simulation(cfg)
     mob = sim.mobility
-    # pairwise distance oracle
-    for a in range(cfg.node_count):
-        for b in range(cfg.node_count):
-            if a == b:
-                continue
-            expected = mob.in_range(a, b)
-            assert (b in mob.neighbors(a)) == expected
+    n = cfg.node_count
+    # the link test is exactly row membership, a == b included
+    for a in range(n):
+        for b in range(n):
+            assert mob.in_range(a, b) == (b in mob.neighbors(a))
             assert (a in mob.neighbors(b)) == (b in mob.neighbors(a))
+        # ids outside the network, as a tampered route can name them
+        for x in (-1, n, 0x7FFF0000):
+            assert mob.in_range(a, x) is False
 
 
 @st.composite
@@ -588,6 +589,27 @@ def test_arrival_skips_range_test_while_rows_are_current(monkeypatch):
     assert report.data_delivered > 0
     assert "_unicast" in callers
     assert callers.count("_arrival") == 0
+
+
+@PROTOCOLS
+def test_only_a_broadcast_builds_a_neighbour_row(monkeypatch, protocol):
+    # a unicast hop (a data packet, a reply, a reply's first hop at the
+    # source) tests its one link with in_range; rows are for broadcasts
+    callers = set()
+    real_neighbors = MobilityState.neighbors
+
+    def neighbors(self, node):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real_neighbors(self, node)
+
+    monkeypatch.setattr(MobilityState, "neighbors", neighbors)
+    cfg = ScenarioConfig(node_count=20, area_width=447.0, area_height=447.0,
+                         sim_time=4.0, pause_time=0.0, flow_count=4,
+                         attacker_count=4, attacker_kind="blackhole",
+                         protocol=protocol, seed=1)
+    report, _ = run(cfg)
+    assert report.data_delivered > 0
+    assert callers == {"_broadcast"}
 
 
 def test_losses_on_a_fast_mobile_run():
