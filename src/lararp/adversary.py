@@ -95,7 +95,10 @@ class Attacker:
     def capture(self, message, now: float):
         """Replay attacker: remember control messages for later re-injection.
 
-        Returns a list of (inject_at, message_copy) pairs.
+        Returns a list of (inject_at, message_copy) pairs; every other kind
+        keeps nothing and returns []. So only a replay attacker needs each
+        copy it is sent: the radio drops a request any other receiver has
+        seen without calling this shim.
         """
         if self.kind != REPLAY:
             return []
@@ -112,7 +115,11 @@ class Attacker:
 
         Returns (result, dropped_data_packets); the simulator logs the
         drops under the attacker's kind. A rewrite is a new result, and
-        tampering corrupts messages before they go on the air.
+        tampering corrupts messages before they go on the air. A result
+        with no actions, such as the duplicate drop DROPPED[DUPLICATE],
+        comes back as it is, with no packet dropped and no draw from rng,
+        for every kind; the radio relies on that when it drops a seen
+        request at an attacker without calling the shim.
         """
         kind = self.kind
         dropped: list[DataPacket] = []

@@ -245,9 +245,9 @@ class NodeState:
     def _admit(self, rreq: Rreq) -> HandlerResult | None:
         """The shared drop for a well-formed RREQ every receiver must refuse
         (already seen, unknown source, bad verifier), or None. The radio
-        makes the first test itself for an honest receiver while no node
-        has moved, so here a duplicate comes from an attacker's shim, an
-        arrival after a move, or a test harness."""
+        makes the first test itself for every receiver in range but a
+        replay attacker, so in a run a duplicate reaches a handler only
+        there; a test harness that plays the radio may hand one in too."""
         if (rreq.source_id, rreq.request_id) in self.seen_requests:
             return DROPPED[DUPLICATE]
         if rreq.source_id not in self.publics:

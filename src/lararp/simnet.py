@@ -14,14 +14,14 @@ turn, in ascending id order; every receiver drops a malformed one as it
 arrives, without a handler call. That verdict holds for every receiver
 because they all get the same object and nothing changes a message once it
 is on the air. Every receiver is in range when a message is sent, and an
-arrival re-tests the range only if a node has moved since. While no node
-has moved, an honest receiver drops a valid request it has already seen at
-the radio, with one set lookup and no handler call; attackers and arrivals
-after a move still reach the handlers. _apply settles every handler
-result: it logs the drop, carries out the actions, and reports a link
-break (a plain drop) to the packet's source at once. Node records
-(credits, route changes) are built only when a log is kept: the live
-metrics fold none of them.
+arrival re-tests the range only if a node has moved since. A receiver in
+range drops a valid request it has already seen at the radio, with one set
+lookup and no handler call, so no duplicate reaches a handler except at a
+replay attacker, whose shim captures every copy it is handed. _apply
+settles every handler result: it logs the drop, carries out the actions,
+and reports a link break (a plain drop) to the packet's source at once.
+Node records (credits, route changes) are built only when a log is kept:
+the live metrics fold none of them.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import crypto, protocol
-from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS,
+from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS, REPLAY,
                         TAMPER_FIELDS)
 from .eventlog import Record
 from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
@@ -341,6 +341,9 @@ class Simulation:
             i: Attacker(config, self.nodes[i],
                         random.Random(f"{seed}:attack:{i}"))
             for i in attacker_ids}
+        # the only attackers whose shim keeps a copy it is handed
+        self._replayers = {i for i, a in self.attackers.items()
+                           if a.kind == REPLAY}
 
         # engine-owned send buffers: node -> dest -> packets awaiting a route
         self.buffers: dict[int, dict[int, list[DataPacket]]] = {
@@ -506,26 +509,31 @@ class Simulation:
 
     def _transmission(self, sender: int, receivers, message, rows,
                       now: float):
-        """Hand one transmission to each receiver in turn. An honest
-        receiver that has already seen a valid request, while it is known
-        to be in range, drops it here as a duplicate, without a handler
-        call: the handler's first test would drop it and do nothing else.
-        Attackers still get every copy, since they may capture it."""
+        """Hand one transmission to each receiver in turn. A receiver in
+        range that has already seen a valid request drops it here as a
+        duplicate, without a handler call: the handler's first test would
+        drop it and do nothing else, and an attacker's shim would pass that
+        drop through unchanged. Only a replay attacker still gets every
+        copy, since its shim captures what it is handed."""
         valid = type(message) is DataPacket or wellformed(message)
         # positions change only where the rows are dropped, so while the
         # send's rows are current every receiver is still in range
         still = rows is not None and rows is self.mobility._nbr_cache
         request = None
-        if valid and still and type(message) is Rreq:
+        if valid and type(message) is Rreq:
             request = (message.source_id, message.request_id)
-        nodes, attackers = self.nodes, self.attackers
+        nodes, replayers = self.nodes, self._replayers
         duplicates = 0
         for receiver in receivers:
             # tested at the receiver's own turn, against the seen set its
-            # handler would test; a handler changes no other node's set
+            # handler would test; a handler changes no other node's set.
+            # The range is tested last and only after a move, so a data hop
+            # and an unseen request never pay for it; a copy out of range
+            # goes on to _arrival, which logs it lost
             if (request is not None
                     and request in nodes[receiver].seen_requests
-                    and receiver not in attackers):
+                    and receiver not in replayers
+                    and (still or self.mobility.in_range(sender, receiver))):
                 duplicates += 1
                 if self.keep_log:
                     self.records.append(Record(

@@ -9,7 +9,7 @@ from lararp import adversary, protocol
 from lararp.adversary import (AttackConfig, Attacker, KINDS, TAMPER_FIELDS,
                               mutate_field)
 from lararp.messages import DataPacket, Rreq
-from lararp.protocol import HandlerResult, Unicast
+from lararp.protocol import DROPPED, DUPLICATE, HandlerResult, Unicast
 from lararp.simnet import ScenarioConfig, run
 
 
@@ -187,6 +187,25 @@ def test_mutate_field_unknown_target():
 ATTACKS = [(kind, field) for kind in KINDS
            for field in (TAMPER_FIELDS if kind == "tamper"
                          else ("node_list",))]
+
+
+@pytest.mark.parametrize("kind,field", ATTACKS)
+def test_shim_passes_a_duplicate_drop_through(kind, field):
+    # the radio drops a seen request at every attacker but a replay one
+    # without calling its shim, which relies on this: the duplicate drop
+    # comes back as it is, with no packet dropped and no draw from the
+    # attacker's rng, and only a replay attacker's capture keeps anything
+    world = World.line(3)
+    attacker = Attacker(AttackConfig(attacker_kind=kind, tamper_field=field),
+                        world.nodes[1], random.Random(0))
+    rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
+    sent = copy.deepcopy(rreq)
+    state = attacker.rng.getstate()
+    result, dropped = attacker.transform(rreq, DROPPED[DUPLICATE])
+    assert result is DROPPED[DUPLICATE] and dropped == []
+    assert attacker.rng.getstate() == state
+    assert rreq == sent
+    assert (attacker.capture(rreq, 0.0) == []) == (kind != "replay")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

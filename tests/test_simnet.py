@@ -4,7 +4,7 @@ import heapq
 import math
 import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from lararp import crypto
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
-from lararp.messages import DataPacket, Rreq
+from lararp.messages import DataPacket, Rreq, wellformed
 from lararp.metrics import fold
 from lararp.protocol import DROPPED, DUPLICATE, NodeState
 from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
@@ -457,9 +457,10 @@ def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
 @ATTACKS
 def test_radio_drops_as_duplicate_only_what_admit_would(monkeypatch, kind,
                                                         field, protocol):
-    # the radio drops a seen request at an honest receiver without calling
-    # its handler; at that receiver's turn in the transmission, the
-    # handler's admission would have dropped it as a duplicate
+    # the radio drops a seen request without calling the receiver's handler
+    # or shim; at that receiver's turn in the transmission, the handler's
+    # admission would have dropped it as a duplicate, and an attacker's shim
+    # would have passed that drop through untouched
     skipped = []
     pending = []    # receivers of the transmission in progress, in turn
     real_transmission = Simulation._transmission
@@ -470,7 +471,14 @@ def test_radio_drops_as_duplicate_only_what_admit_would(monkeypatch, kind,
         while pending and pending[0] != upto:
             receiver = pending.pop(0)
             assert type(message) is Rreq
-            assert receiver not in sim.attackers
+            attacker = sim.attackers.get(receiver)
+            if attacker is not None:
+                assert attacker.kind != "replay"
+                state = attacker.rng.getstate()
+                result, dropped = attacker.transform(message,
+                                                     DROPPED[DUPLICATE])
+                assert result is DROPPED[DUPLICATE] and dropped == []
+                assert attacker.rng.getstate() == state
             assert sim.nodes[receiver]._admit(message) is DROPPED[DUPLICATE]
             skipped.append(receiver)
         if pending:
@@ -524,6 +532,77 @@ def test_seen_request_reaches_no_handler(monkeypatch):
     assert [(r.node, r.details) for r in records if r.kind == "drop"] == [
         (n, {"msg": "rreq", "reason": "duplicate"}) for n in (0, 1, 2)]
     assert report.drops_by_reason == {"duplicate": 3}
+
+
+def every_copy_to_its_handler(sim, sender, receivers, message, rows, now):
+    """A radio that settles nothing itself: each receiver's _arrival tests
+    the range and calls the handler."""
+    valid = type(message) is DataPacket or wellformed(message)
+    for receiver in receivers:
+        sim._arrival(sender, receiver, message, valid, now)
+
+
+@PROTOCOLS
+@pytest.mark.parametrize("kind,mobile", [
+    ("blackhole", False), ("tamper", False), ("rushing", False),
+    ("controlflood", False), (None, True), ("replay", True)])
+def test_no_duplicate_reaches_a_handler_but_a_replay_attackers(
+        monkeypatch, kind, mobile, protocol):
+    # the radio settles every seen request at a receiver in range, at an
+    # attacker and after a move too; only a replay attacker's shim keeps
+    # what it is handed, so only its handler still sees duplicates, and it
+    # captures what a radio that drops nothing would hand it. A mobile run
+    # moves every node each 10 ms, so many requests arrive after a move
+    duplicates = []
+
+    def counting(real):
+        def handler(self, rreq, prev_hop, now):
+            result = real(self, rreq, prev_hop, now)
+            if result.drop == DUPLICATE:
+                duplicates.append(self.id)
+            return result
+        return handler
+
+    for name in ("handle_rreq", "handle_rreq_at_destination"):
+        monkeypatch.setattr(NodeState, name,
+                            counting(getattr(NodeState, name)))
+    cfg = replace(attack_config(kind or "blackhole", "node_list", protocol),
+                  attacker_count=4 if kind else 0)
+    if mobile:
+        cfg = replace(cfg, pause_time=0.0, mobility_tick=0.01)
+    sim = Simulation(cfg, keep_log=True)
+    sim.run()
+    replayers = {i for i, a in sim.attackers.items() if a.kind == "replay"}
+    assert set(duplicates) <= replayers
+    if replayers:
+        assert duplicates
+        monkeypatch.setattr(Simulation, "_transmission",
+                            every_copy_to_its_handler)
+        reference = Simulation(cfg, keep_log=True)
+        reference.run()
+        assert ({i: a._replayed for i, a in sim.attackers.items()}
+                == {i: a._replayed for i, a in reference.attackers.items()})
+        assert format_log(sim.records) == format_log(reference.records)
+
+
+@pytest.mark.parametrize("x,logged", [(100.0, "drop"),
+                                      (500.0, "control-lost")])
+def test_seen_request_after_a_move_is_range_tested_at_the_radio(
+        monkeypatch, x, logged):
+    # after a move the radio drops a seen request only at a receiver still
+    # in range, without a handler call; a copy to one that left is lost
+    calls = []
+    monkeypatch.setattr(NodeState, "handle_rreq_at_destination",
+                        lambda *args: calls.append(args))
+    sim = Simulation(static_pair(100.0), keep_log=True)
+    rreq = sim.nodes[0].new_rreq(1, sim.rng_protocol)
+    sim.nodes[1].seen_requests.add((0, rreq.request_id))
+    sim.mobility.x[1] = x
+    sim.mobility._nbr_cache = None
+    del sim.records[:]
+    sim._transmission(0, (1,), rreq, None, 0.01)
+    assert [r.kind for r in sim.records] == [logged]
+    assert calls == []
 
 
 @PROTOCOLS
