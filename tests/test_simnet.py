@@ -212,6 +212,10 @@ GOLDEN_LOGS = [
     (dict(node_count=50, area_width=707.1, area_height=707.1, sim_time=10.0,
           pause_time=10.0, flow_count=30, flow_rate=20.0, seed=1),
      "e31f69e19cd343c7558a27f2a7ae548b5da9d5753cc9d311357249dadaa6dd12"),
+    # a gray hole draws once per data packet it would forward
+    (dict(GOLDEN_40, attacker_count=8, attacker_kind="grayhole",
+          pause_time=0.0),
+     "b124e8bb7dce1d13f5b8f8a74e6fc8c83b699d9189980137f73b0da762fc059a"),
 ]
 
 
