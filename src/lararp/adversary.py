@@ -10,7 +10,7 @@ ScenarioConfig.validate has already checked.
 import copy
 from dataclasses import dataclass
 
-from .messages import DataPacket, Rrep, Rreq
+from .messages import DataPacket
 from .protocol import Broadcast, HandlerResult, Unicast
 
 BLACK_HOLE = "blackhole"
@@ -95,55 +95,44 @@ class Attacker:
     def capture(self, message, now: float):
         """Replay attacker: remember control messages for later re-injection.
 
-        Returns a list of (inject_at, message_copy) pairs; every other kind
-        keeps nothing and returns []. So only a replay attacker needs each
-        copy it is sent: the radio drops a request any other receiver has
-        seen without calling this shim.
+        The radio hands this shim every control message that reaches the
+        attacker's handler, and no data packet. Returns a list of
+        (inject_at, message_copy) pairs; every other kind keeps nothing and
+        returns []. So only a replay attacker needs each copy it is sent:
+        the radio drops a request any other receiver has seen without
+        calling this shim.
         """
-        if self.kind != REPLAY:
-            return []
-        if not isinstance(message, (Rreq, Rrep)):
-            return []
-        if len(self._replayed) >= REPLAY_BUFFER:
+        if self.kind != REPLAY or len(self._replayed) >= REPLAY_BUFFER:
             return []
         stored = copy.deepcopy(message)
         self._replayed.append(stored)
         return [(now + self.config.replay_delay, copy.deepcopy(stored))]
 
-    def transform(self, inbound, result: HandlerResult):
-        """Rewrite an honest handler result according to the attack.
-
-        Returns (result, dropped_data_packets); the simulator logs the
-        drops under the attacker's kind. A rewrite is a new result, and
-        tampering corrupts messages before they go on the air. A result
-        with no actions, such as the duplicate drop DROPPED[DUPLICATE],
-        comes back as it is, with no packet dropped and no draw from rng,
-        for every kind; the radio relies on that when it drops a seen
-        request at an attacker without calling the shim.
+    def transform(self, result: HandlerResult) -> HandlerResult:
+        """Apply the attack to an honest control handler's result and return
+        the result to settle: a tamperer corrupts the messages it sends
+        before they go on the air. A result with no actions, such as the
+        duplicate drop DROPPED[DUPLICATE], comes back as it is, with no
+        draw from rng, for every kind; the radio relies on that when it
+        drops a seen request at an attacker without calling the shim.
         """
-        kind = self.kind
-        dropped: list[DataPacket] = []
-        if kind in (BLACK_HOLE, GRAY_HOLE) and isinstance(inbound, DataPacket):
-            kept = []
+        if self.kind == TAMPER:
             for action in result.actions:
-                forwarding = (isinstance(action, Unicast)
-                              and isinstance(action.message, DataPacket)
-                              and self.node.id != action.message.source_id)
-                if forwarding and (
-                        kind == BLACK_HOLE
-                        or self.rng.random() < self.config.grayhole_drop_prob):
-                    dropped.append(action.message)
-                else:
-                    kept.append(action)
-            if dropped:
-                result = result._replace(actions=kept)
-        elif kind == TAMPER and isinstance(inbound, (Rreq, Rrep)):
-            for action in result.actions:
-                if isinstance(action, (Broadcast, Unicast)) and isinstance(
-                        action.message, (Rreq, Rrep)):
+                if isinstance(action, (Broadcast, Unicast)):
                     try:
                         mutate_field(action.message, self.config.tamper_field,
                                      self.rng)
                     except (ValueError, AttributeError):
                         pass   # field not present on this message type
-        return result, dropped
+        return result
+
+    def drops_data(self, packet: DataPacket) -> bool:
+        """Whether this node drops a data packet it would forward: a black
+        hole every one, a gray hole each with grayhole_drop_prob, drawn once
+        per packet. Its own packets are never dropped, with no draw."""
+        if self.node.id == packet.source_id:
+            return False
+        if self.kind == BLACK_HOLE:
+            return True
+        return (self.kind == GRAY_HOLE
+                and self.rng.random() < self.config.grayhole_drop_prob)

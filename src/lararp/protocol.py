@@ -3,11 +3,12 @@ policy: LARARP and the verify-everything baseline are two entries of
 POLICIES, not two code paths.
 
 Handlers are synchronous and engine-agnostic: they receive the current
-time and return a HandlerResult describing outbound actions, an optional
-drop reason, and how many expensive tag verifications were charged (the
-simulator converts the charge into processing latency). A data packet
-whose next hop is out of range is a plain LINK_BREAK drop: the node
-invalidates its own route, and the engine tells the packet's source.
+time. A control handler returns a HandlerResult describing outbound
+actions, an optional drop reason, and how many expensive tag verifications
+were charged (the simulator converts the charge into processing latency).
+forward_data returns a data hop's next hop id, None on delivery, or the
+drop reason; on a LINK_BREAK drop the node invalidates its own route, and
+the engine tells the packet's source.
 
 A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
@@ -116,11 +117,6 @@ class Unicast:
 
 
 @dataclass
-class Deliver:
-    packet: DataPacket
-
-
-@dataclass
 class AcceptedRoute:
     dest: int
     route: list[int]
@@ -140,7 +136,7 @@ class HandlerResult(NamedTuple):
 # One shared result per reason for every uncharged drop.
 DROPPED = {reason: HandlerResult((), reason) for reason in (
     DUPLICATE, BAD_VERIFIER, BAD_SOURCE_MAC, BAD_HOP_TAG, PROHIBITED,
-    NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, LINK_BREAK, MALFORMED)}
+    NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, MALFORMED)}
 
 
 def _noop_log(kind, **details):
@@ -170,6 +166,11 @@ class NodeState:
         self.ntt = NeighborTrustTable(config.initial_credit)
         self.routes: dict[int, list[int]] = {}     # dest -> valid route
         self.seen_requests: set[tuple[int, bytes]] = set()
+        # revealed chain element (index, secret) -> the request id it was
+        # accepted under: an element serves one request (Ariadne's rule). A
+        # secret verifies under one source's chain only, so it names the
+        # source, and a rolled-over chain's elements are new ones
+        self.revealed: dict[tuple[int, bytes], bytes] = {}
         self.pending: dict[int, PendingRequest] = {}
         # Instrumentation: how many per-hop tag checks this node performed.
         self.hop_tag_checks = 0
@@ -239,20 +240,31 @@ class NodeState:
         rreq = Rreq(source_id=self.id, dest_id=dest, request_id=request_id,
                     source_tag=compute_tag(self.key(dest), request_id),
                     verifier=reveal_next(self.keychain))
-        self.seen_requests.add((self.id, request_id))
+        self._accept(rreq)
         return rreq
+
+    def _accept(self, rreq: Rreq):
+        """Mark rreq seen and bind its chain element to its request id."""
+        self.seen_requests.add((rreq.source_id, rreq.request_id))
+        self.revealed[rreq.verifier] = rreq.request_id
 
     def _admit(self, rreq: Rreq) -> HandlerResult | None:
         """The shared drop for a well-formed RREQ every receiver must refuse
-        (already seen, unknown source, bad verifier), or None. The radio
-        makes the first test itself for every receiver in range but a
-        replay attacker, so in a run a duplicate reaches a handler only
-        there; a test harness that plays the radio may hand one in too."""
+        (already seen, unknown source, bad verifier, or a verifier already
+        accepted under another request id), or None. Only _accept binds an
+        element, once a handler's checks pass, so a copy that merely arrives
+        first binds nothing. The radio makes the first test itself for every
+        receiver in range but a replay attacker, so in a run a duplicate
+        reaches a handler only there; a test harness that plays the radio
+        may hand one in too."""
         if (rreq.source_id, rreq.request_id) in self.seen_requests:
             return DROPPED[DUPLICATE]
         if rreq.source_id not in self.publics:
             return DROPPED[MALFORMED]
         if not verify_reveal(self.publics[rreq.source_id], *rreq.verifier):
+            return DROPPED[BAD_VERIFIER]
+        if self.revealed.get(rreq.verifier,
+                             rreq.request_id) != rreq.request_id:
             return DROPPED[BAD_VERIFIER]
         return None
 
@@ -279,7 +291,7 @@ class NodeState:
         own_pos = len(forwarded.node_list) - 1
         forwarded.hop_tags.append(
             compute_tag(self.key(rreq.dest_id), hop_digest(forwarded, own_pos)))
-        self.seen_requests.add((rreq.source_id, rreq.request_id))
+        self._accept(rreq)
         return HandlerResult([Broadcast(forwarded)])
 
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
@@ -296,7 +308,7 @@ class NodeState:
         reason, charged = self._check_hops(rreq, as_dest=True)
         if reason is not None:
             return HandlerResult((), reason, charged)
-        self.seen_requests.add((rreq.source_id, rreq.request_id))
+        self._accept(rreq)
         rrep = Rrep(source_id=rreq.source_id, dest_id=self.id,
                     request_id_tag=compute_tag(self.key(rreq.source_id),
                                                rreq.request_id),
@@ -430,13 +442,16 @@ class NodeState:
         return actions
 
     def forward_data(self, packet: DataPacket, prev_hop: int | None,
-                     now: float) -> HandlerResult:
-        """Source-route a data packet one hop or deliver it; a next hop out
-        of range drops it as LINK_BREAK and invalidates this node's own
-        route to its destination."""
-        self._credit(prev_hop, FORWARDED)
+                     now: float) -> int | str | None:
+        """Credit prev_hop (None at the source) and route a data packet one
+        hop: return the next hop id, None when it is delivered here, or the
+        drop reason. A next hop out of range is a LINK_BREAK, which also
+        invalidates this node's own route to the destination."""
+        if self.keeps_credit and prev_hop in self.publics:
+            cc = self.ntt.credits[prev_hop] = self.ntt.get(prev_hop) + 1
+            self.log("credit", neighbor=prev_hop, event=FORWARDED, cc=cc)
         if self.id == packet.dest_id:
-            return HandlerResult([Deliver(packet)])
+            return None
         route = packet.route
         if self.id == packet.source_id:
             next_hop = route[0] if route else packet.dest_id
@@ -444,8 +459,8 @@ class NodeState:
             pos = route.index(self.id)
             next_hop = route[pos + 1] if pos + 1 < len(route) else packet.dest_id
         else:
-            return DROPPED[NOT_IN_ROUTE]
+            return NOT_IN_ROUTE
         if not self.in_range_fn(self.id, next_hop):
             self.invalidate_route(packet.dest_id)
-            return DROPPED[LINK_BREAK]
-        return HandlerResult([Unicast(next_hop, packet)])
+            return LINK_BREAK
+        return next_hop

@@ -17,9 +17,11 @@ is on the air. Every receiver is in range when a message is sent, and an
 arrival re-tests the range only if a node has moved since. A receiver in
 range drops a valid request it has already seen at the radio, with one set
 lookup and no handler call, so no duplicate reaches a handler except at a
-replay attacker, whose shim captures every copy it is handed. _apply
-settles every handler result: it logs the drop, carries out the actions,
-and reports a link break (a plain drop) to the packet's source at once.
+replay attacker, whose shim captures every copy it is handed. _hop
+settles a data hop, at an arrival or at the source: it logs a delivery or a
+drop, reports a relay's link break to the source at once, and lets a black
+or gray hole drop what it would forward. _apply settles a control
+handler's result: it logs the drop and carries out the actions.
 Node records (credits, route changes) are built only when a log is kept:
 the live metrics fold none of them.
 
@@ -43,8 +45,8 @@ from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS, REPLAY,
 from .eventlog import Record
 from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
-from .protocol import (AcceptedRoute, Broadcast, Deliver, HandlerResult,
-                       NodeState, ProtocolConfig, Unicast)
+from .protocol import (AcceptedRoute, Broadcast, HandlerResult, NodeState,
+                       ProtocolConfig, Unicast)
 
 
 class ScenarioError(ValueError):
@@ -498,8 +500,7 @@ class Simulation:
         self._send(sender, self.mobility.neighbors(sender), message, now)
 
     def _unicast(self, sender: int, receiver: int, message, now: float):
-        if (not isinstance(message, DataPacket)
-                and not self.mobility.in_range(sender, receiver)):
+        if not self.mobility.in_range(sender, receiver):
             self._emit(self.now, sender, "control-lost",
                        msg=_MSG_KIND[type(message)])
             return
@@ -547,9 +548,10 @@ class Simulation:
 
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
                  now: float, still: bool = False):
-        """Hand one copy to its receiver's handler, and the result to _apply;
-        valid is the transmission's verdict on it, and still says that no
-        node has moved since it was sent, so the range test is skipped."""
+        """Hand one copy to its receiver: a data packet to _hop, a control
+        message to its handler and the result to _apply. valid is the
+        transmission's verdict on it, and still says that no node has moved
+        since it was sent, so the range test is skipped."""
         kind = type(message)
         if not (still or self.mobility.in_range(sender, receiver)):
             if kind is DataPacket:
@@ -557,6 +559,9 @@ class Simulation:
                            seq=message.seq)
             else:
                 self._emit(now, receiver, "control-lost", msg=_MSG_KIND[kind])
+            return
+        if kind is DataPacket:
+            self._hop(self.nodes[receiver], message, sender, now)
             return
         node = self.nodes[receiver]
         attacker = self.attackers.get(receiver)
@@ -567,8 +572,6 @@ class Simulation:
         before = node.hop_tag_checks
         if not valid:
             result = protocol.DROPPED[protocol.MALFORMED]
-        elif kind is DataPacket:
-            result = node.forward_data(message, sender, now)
         elif kind is Rreq:
             if receiver == message.dest_id:
                 result = node.handle_rreq_at_destination(message, sender, now)
@@ -588,28 +591,16 @@ class Simulation:
                        n=node.hop_tag_checks - before, role=role)
 
         if attacker is not None:
-            result, dropped = attacker.transform(message, result)
-            for pkt in dropped:
-                self._emit(now, receiver, "data-dropped", flow=pkt.flow_id,
-                           seq=pkt.seq, reason=attacker.kind)
+            result = attacker.transform(result)
         self._apply(receiver, message, result, now)
 
     def _apply(self, node_id: int, message, result: HandlerResult,
                now: float):
-        """Log the drop of node_id's handler result for message and carry
-        out its actions. A relay's link break invalidates the source's route
-        at once; at the source, forward_data has already done so."""
+        """Log the drop of node_id's control handler result for message and
+        carry out its actions."""
         if result.drop is not None:
-            if type(message) is DataPacket:
-                self._emit(now, node_id, "data-dropped", flow=message.flow_id,
-                           seq=message.seq, reason=result.drop)
-                if (result.drop == protocol.LINK_BREAK
-                        and message.source_id != node_id):
-                    self.nodes[message.source_id].invalidate_route(
-                        message.dest_id)
-            else:
-                self._emit(now, node_id, "drop",
-                           msg=_MSG_KIND[type(message)], reason=result.drop)
+            self._emit(now, node_id, "drop", msg=_MSG_KIND[type(message)],
+                       reason=result.drop)
         # charged tag checks delay whatever the node sends in response
         t_eff = now + result.charged * self.config.tag_verify_cost
         for action in result.actions:
@@ -617,10 +608,6 @@ class Simulation:
                 self._unicast(node_id, action.next_hop, action.message, t_eff)
             elif isinstance(action, Broadcast):
                 self._broadcast(node_id, action.message, t_eff)
-            elif isinstance(action, Deliver):
-                pkt = action.packet
-                self._emit(now, node_id, "data-delivered", flow=pkt.flow_id,
-                           seq=pkt.seq, delay=now - pkt.created_at)
             elif isinstance(action, AcceptedRoute):
                 self._flush_buffer(node_id, action.dest, t_eff)
 
@@ -633,7 +620,28 @@ class Simulation:
     def _source_route(self, node: NodeState, packet: DataPacket, now: float):
         """Send a packet from its source along the node's valid route."""
         packet.route = list(node.routes[packet.dest_id])
-        self._apply(node.id, packet, node.forward_data(packet, None, now), now)
+        self._hop(node, packet, None, now)
+
+    def _hop(self, node: NodeState, packet: DataPacket, prev_hop: int | None,
+             now: float):
+        """Settle one data hop at node from prev_hop (None at the source);
+        at the source, forward_data has already invalidated a broken route."""
+        hop = node.forward_data(packet, prev_hop, now)
+        if hop is None:
+            self._emit(now, node.id, "data-delivered", flow=packet.flow_id,
+                       seq=packet.seq, delay=now - packet.created_at)
+        elif type(hop) is str:
+            self._emit(now, node.id, "data-dropped", flow=packet.flow_id,
+                       seq=packet.seq, reason=hop)
+            if hop == protocol.LINK_BREAK and packet.source_id != node.id:
+                self.nodes[packet.source_id].invalidate_route(packet.dest_id)
+        else:
+            attacker = self.attackers.get(node.id)
+            if attacker is not None and attacker.drops_data(packet):
+                self._emit(now, node.id, "data-dropped", flow=packet.flow_id,
+                           seq=packet.seq, reason=attacker.kind)
+            else:
+                self._send(node.id, (hop,), packet, now)
 
     def _drop_buffer(self, node_id: int, dest: int, now: float):
         for packet in self.buffers[node_id].pop(dest, []):

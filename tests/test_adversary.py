@@ -1,4 +1,5 @@
 import copy
+import functools
 import random
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from lararp import adversary, protocol
 from lararp.adversary import (AttackConfig, Attacker, KINDS, TAMPER_FIELDS,
                               mutate_field)
 from lararp.messages import DataPacket, Rreq
-from lararp.protocol import DROPPED, DUPLICATE, HandlerResult, Unicast
+from lararp.protocol import DROPPED, DUPLICATE
 from lararp.simnet import ScenarioConfig, run
 
 
@@ -86,19 +87,17 @@ def test_tamper_always_detected_at_destination():
 
 
 def test_transform_leaves_its_input_alone():
-    # a rewrite is a new result: neither the handler's result nor the
-    # shared drop results change
+    # dropping a data packet changes neither the handler's verdict nor the
+    # packet, and no attack changes the shared drop results
     world = World.line(3)
     attacker = Attacker(AttackConfig(attacker_kind="blackhole"),
                         world.nodes[1], random.Random(0))
     packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=2,
                         payload_size=512, route=[1], created_at=0.0)
-    forwarding = world.nodes[1].forward_data(packet, 0, 0.0)
-    assert forwarding == HandlerResult([Unicast(2, packet)])
-    before = copy.deepcopy(forwarding)
-    result, dropped = attacker.transform(packet, forwarding)
-    assert list(result.actions) == [] and dropped == [packet]
-    assert forwarding == before
+    assert world.nodes[1].forward_data(packet, 0, 0.0) == 2
+    before = copy.deepcopy(packet)
+    assert attacker.drops_data(packet)
+    assert packet == before
     shared = copy.deepcopy(protocol.DROPPED)
     for kind in ("blackhole", "tamper"):
         run(line_config(4, attacker_count=1, attacker_kind=kind,
@@ -201,8 +200,7 @@ def test_shim_passes_a_duplicate_drop_through(kind, field):
     rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
     sent = copy.deepcopy(rreq)
     state = attacker.rng.getstate()
-    result, dropped = attacker.transform(rreq, DROPPED[DUPLICATE])
-    assert result is DROPPED[DUPLICATE] and dropped == []
+    assert attacker.transform(DROPPED[DUPLICATE]) is DROPPED[DUPLICATE]
     assert attacker.rng.getstate() == state
     assert rreq == sent
     assert (attacker.capture(rreq, 0.0) == []) == (kind != "replay")
@@ -228,3 +226,26 @@ def test_every_attack_runs_to_completion(kind, field, protocol, seed):
             assert set(_route(record)) <= set(range(20))
         elif record.kind in ("credit", "ntt-final"):
             assert record.details["neighbor"] in range(20)
+
+
+@functools.cache
+def _attacker_free_control_packets(protocol):
+    report, _ = run(ScenarioConfig(sim_time=5.0, protocol=protocol))
+    return report.control_packets
+
+
+@pytest.mark.parametrize("protocol", ["lararp", "baseline"])
+@pytest.mark.parametrize("kind,field", ATTACKS)
+def test_attack_work_stays_in_budget_at_paper_scale(kind, field, protocol):
+    # at the paper's 100 nodes, 5 attackers may not multiply the control
+    # traffic: a run sends at most twice the attacker-free run's control
+    # packets plus, for a control flood, its own requests, each weighted by
+    # node_count as validate weighs them. A bound on work, not on results
+    config = ScenarioConfig(sim_time=5.0, attacker_count=5, attacker_kind=kind,
+                            tamper_field=field, protocol=protocol)
+    budget = _attacker_free_control_packets(protocol)
+    if kind == adversary.CONTROL_FLOOD:
+        budget += (config.node_count * config.attacker_count
+                   * config.flood_rate * config.sim_time)
+    report, _ = run(config)
+    assert report.control_packets <= 2 * budget

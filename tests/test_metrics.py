@@ -111,8 +111,7 @@ def test_request_ids_round_trip_as_text():
     # as an int
     _, records = run(ScenarioConfig(attacker_count=5, seed=4), keep_log=True)
     starts = [r for r in records if r.kind == "discovery-start"]
-    parsed = [r for r in parse_log(format_log(records))
-              if r.kind == "discovery-start"]
+    parsed = parse_log(format_log(starts))
     assert "3e27941960784963" in [r.details["request_id"] for r in starts]
     assert ([r.details["request_id"] for r in parsed]
             == [r.details["request_id"] for r in starts])

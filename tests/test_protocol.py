@@ -1,14 +1,15 @@
+import copy
+
 import pytest
 
 from conftest import World
 from lararp.crypto import verify_reveal, verify_tag
 from lararp.messages import DataPacket, hop_digest
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
-                             BAD_VERIFIER, Broadcast, Deliver, DUPLICATE,
+                             BAD_VERIFIER, Broadcast, DUPLICATE,
                              FORWARDED, LINK_BREAK, MALFORMED,
                              MISBEHAVED, NOT_IN_ROUTE, NeighborTrustTable,
-                             PROHIBITED, REPLAY, Unicast, Unroutable,
-                             update_credit)
+                             PROHIBITED, REPLAY, Unroutable, update_credit)
 
 
 # -- discovery construction -------------------------------------------------
@@ -78,6 +79,24 @@ def test_tampered_verifier_dropped_at_first_honest_hop():
     assert not verify_reveal(world.publics[0], idx, flipped)
     result = world.nodes[1].handle_rreq(rreq, 0, 0.0)
     assert result.drop == BAD_VERIFIER
+
+
+def test_a_chain_element_serves_one_request_id():
+    # Ariadne's rule: once a node accepts a request, a copy that reveals the
+    # same chain element under another request id is a bad verifier, at a
+    # forwarder and at the source; a rolled-over chain's elements are new
+    world = World.line(3)
+    source = world.nodes[0]
+    rreq = source.initiate_route_discovery(2, 0.0, world.rng)
+    assert world.nodes[1].handle_rreq(rreq, 0, 0.0).drop is None
+    forged = copy.deepcopy(rreq)
+    forged.request_id = bytes([rreq.request_id[0] ^ 1]) + rreq.request_id[1:]
+    assert world.nodes[1].handle_rreq(forged, 0, 0.0).drop == BAD_VERIFIER
+    assert source.handle_rreq(forged, 1, 0.0).drop == BAD_VERIFIER
+    source.keychain.next_index = len(source.keychain.secrets)
+    renewed = source.new_rreq(2, world.rng)
+    assert renewed.verifier[0] == rreq.verifier[0]
+    assert world.nodes[1].handle_rreq(renewed, 0, 0.0).drop is None
 
 
 # -- destination pipeline ---------------------------------------------------
@@ -257,24 +276,21 @@ def packet(route, src=0, dst=4, seq=0):
 
 
 def test_forward_data_midroute(line5):
-    result = line5.nodes[2].forward_data(packet([1, 2, 3]), 1, 0.0)
-    (action,) = result.actions
-    assert action == Unicast(next_hop=3, message=action.message)
+    assert line5.nodes[2].forward_data(packet([1, 2, 3]), 1, 0.0) == 3
     assert line5.nodes[2].ntt.get(1) == 1   # prev hop credited
 
 
 def test_forward_data_delivery(line5):
-    result = line5.nodes[4].forward_data(packet([1, 2, 3]), 3, 0.0)
-    assert isinstance(result.actions[0], Deliver)
+    assert line5.nodes[4].forward_data(packet([1, 2, 3]), 3, 0.0) is None
 
 
 def test_forward_data_link_break(line5):
     out = line5.discover(2, 4, [3])
     assert out["route"] == [3]
     line5.adjacency[2] = [1]   # node 3 moved out of range
-    result = line5.nodes[2].forward_data(packet([3], src=2), None, 0.0)
-    assert result.drop == LINK_BREAK
-    assert result.actions == ()
+    # a drop names no next hop, only its reason
+    assert line5.nodes[2].forward_data(packet([3], src=2), None,
+                                       0.0) == LINK_BREAK
     assert not line5.nodes[2].has_route(4)
 
 
