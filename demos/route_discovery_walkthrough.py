@@ -9,7 +9,7 @@ import copy
 import random
 
 from lararp.crypto import SharedKeyTable, generate_keychain
-from lararp.protocol import Broadcast, NodeState, ProtocolConfig, Unicast
+from lararp.protocol import NodeState, ProtocolConfig
 
 
 def build_line(n):
@@ -41,17 +41,15 @@ def main():
     msg, prev = rreq, 0
     for hop in (1, 2, 3):
         result = nodes[hop].handle_rreq(msg, prev, now=0.0)
-        (action,) = result.actions
-        assert isinstance(action, Broadcast)
-        msg, prev = action.message, hop
+        assert result.send is not None and result.to is None
+        msg, prev = result.send, hop
         print(f"node {hop} verified the reveal, credited node {hop - 1},"
               f" appended itself: node_list={msg.node_list}")
 
     print("\n== destination pipeline at node 4 ==")
     result = nodes[4].handle_rreq_at_destination(msg, prev, now=0.0)
-    (action,) = result.actions
-    assert isinstance(action, Unicast)
-    rrep = action.message
+    assert result.send is not None and result.to is not None
+    rrep = result.send
     print(f"node 4 checked the source MAC and issued a reply for route"
           f" {rrep.route} with {len(rrep.dest_tags)} destination tags"
           f" ({result.charged} hop tags individually verified:"
@@ -59,11 +57,10 @@ def main():
 
     print("\n== reverse pass: reply unicast 4 -> 0 ==")
     prev = 4
-    while action.next_hop != 0:
-        hop = action.next_hop
+    while result.to != 0:
+        hop = result.to
         result = nodes[hop].handle_rrep(rrep, prev, now=0.0)
-        (action,) = result.actions
-        rrep, prev = action.message, hop
+        rrep, prev = result.send, hop
         print(f"node {hop} verified its destination tag and appended a"
               f" reverse tag ({len(rrep.reverse_hop_tags)} so far)")
 

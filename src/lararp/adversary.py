@@ -11,7 +11,7 @@ import copy
 from dataclasses import dataclass
 
 from .messages import DataPacket
-from .protocol import Broadcast, HandlerResult, Unicast
+from .protocol import HandlerResult
 
 BLACK_HOLE = "blackhole"
 GRAY_HOLE = "grayhole"
@@ -110,20 +110,17 @@ class Attacker:
 
     def transform(self, result: HandlerResult) -> HandlerResult:
         """Apply the attack to an honest control handler's result and return
-        the result to settle: a tamperer corrupts the messages it sends
-        before they go on the air. A result with no actions, such as the
+        the result to settle: a tamperer corrupts the message it sends
+        before it goes on the air. A result that sends nothing, such as the
         duplicate drop DROPPED[DUPLICATE], comes back as it is, with no
         draw from rng, for every kind; the radio relies on that when it
         drops a seen request at an attacker without calling the shim.
         """
-        if self.kind == TAMPER:
-            for action in result.actions:
-                if isinstance(action, (Broadcast, Unicast)):
-                    try:
-                        mutate_field(action.message, self.config.tamper_field,
-                                     self.rng)
-                    except (ValueError, AttributeError):
-                        pass   # field not present on this message type
+        if self.kind == TAMPER and result.send is not None:
+            try:
+                mutate_field(result.send, self.config.tamper_field, self.rng)
+            except (ValueError, AttributeError):
+                pass   # field not present on this message type
         return result
 
     def drops_data(self, packet: DataPacket) -> bool:

@@ -3,22 +3,21 @@ policy: LARARP and the verify-everything baseline are two entries of
 POLICIES, not two code paths.
 
 Handlers are synchronous and engine-agnostic: they receive the current
-time. A control handler returns a HandlerResult describing outbound
-actions, an optional drop reason, and how many expensive tag verifications
-were charged (the simulator converts the charge into processing latency).
-forward_data returns a data hop's next hop id, None on delivery, or the
-drop reason; on a LINK_BREAK drop the node invalidates its own route, and
-the engine tells the packet's source.
+time. A control handler returns a HandlerResult: the one message it sends
+and its receiver, or a drop reason, and how many expensive tag
+verifications were charged (the simulator converts the charge into
+processing latency). forward_data returns a data hop's next hop id, None
+on delivery, or the drop reason; on a LINK_BREAK drop the node invalidates
+its own route, and the engine tells the packet's source.
 
 A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
 drops a malformed one at every receiver without calling a handler, and
 a test harness that plays the radio must do the same. Results are
 immutable; an uncharged drop returns the shared result in DROPPED, and a
-charged one is HandlerResult((), reason, charged).
+charged one is HandlerResult(drop=reason, charged=charged).
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,38 +102,18 @@ class PendingRequest:
     retries_remaining: int
 
 
-# Outbound actions interpreted by the simulator (or a test harness).
-
-@dataclass
-class Broadcast:
-    message: object
-
-
-@dataclass
-class Unicast:
-    next_hop: int
-    message: object
-
-
-@dataclass
-class AcceptedRoute:
-    dest: int
-    route: list[int]
-
-
-@dataclass
-class Unroutable:
-    dest: int
-
-
 class HandlerResult(NamedTuple):
-    actions: Sequence = ()
+    """What a control handler settles on: a message to send, or a drop.
+    A result with neither is the source accepting a route; only
+    handle_rrep_at_source returns one."""
+    send: Rreq | Rrep | None = None
+    to: int | None = None        # send's one receiver; None broadcasts it
     drop: str | None = None
-    charged: int = 0       # expensive tag verifications to bill as latency
+    charged: int = 0             # expensive tag verifications to bill as latency
 
 
 # One shared result per reason for every uncharged drop.
-DROPPED = {reason: HandlerResult((), reason) for reason in (
+DROPPED = {reason: HandlerResult(drop=reason) for reason in (
     DUPLICATE, BAD_VERIFIER, BAD_SOURCE_MAC, BAD_HOP_TAG, PROHIBITED,
     NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, MALFORMED)}
 
@@ -292,7 +271,7 @@ class NodeState:
         forwarded.hop_tags.append(
             compute_tag(self.key(rreq.dest_id), hop_digest(forwarded, own_pos)))
         self._accept(rreq)
-        return HandlerResult([Broadcast(forwarded)])
+        return HandlerResult(forwarded)
 
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
                                    now: float) -> HandlerResult:
@@ -307,7 +286,7 @@ class NodeState:
         self._credit(prev_hop, FORWARDED)
         reason, charged = self._check_hops(rreq, as_dest=True)
         if reason is not None:
-            return HandlerResult((), reason, charged)
+            return HandlerResult(drop=reason, charged=charged)
         self._accept(rreq)
         rrep = Rrep(source_id=rreq.source_id, dest_id=self.id,
                     request_id_tag=compute_tag(self.key(rreq.source_id),
@@ -318,7 +297,7 @@ class NodeState:
         rrep.dest_tags += [compute_tag(self.key(n), body) for n in rrep.route]
         self.log("rrep-issued", src=rreq.source_id, route=list(rrep.route))
         next_hop = rrep.route[-1] if rrep.route else rreq.source_id
-        return HandlerResult([Unicast(next_hop, rrep)], None, charged)
+        return HandlerResult(rrep, next_hop, charged=charged)
 
     def _check_hops(self, rreq: Rreq,
                     as_dest: bool) -> tuple[str | None, int]:
@@ -387,7 +366,7 @@ class NodeState:
             return DROPPED[MALFORMED]
         reason, charged = self._check_reply(rrep, pos, self.path_checks)
         if reason is not None:
-            return HandlerResult((), reason, charged)
+            return HandlerResult(drop=reason, charged=charged)
         forwarded = Rrep(source_id=rrep.source_id, dest_id=rrep.dest_id,
                          request_id_tag=rrep.request_id_tag,
                          route=list(rrep.route), dest_tags=list(rrep.dest_tags),
@@ -395,7 +374,7 @@ class NodeState:
         forwarded.reverse_hop_tags.append(
             compute_tag(self.key(rrep.source_id),
                         reverse_tag_payload(forwarded, self.id)))
-        return HandlerResult([Unicast(toward_src, forwarded)], None, charged)
+        return HandlerResult(forwarded, toward_src, charged=charged)
 
     def handle_rrep_at_source(self, rrep: Rrep, prev_hop: int,
                               now: float) -> HandlerResult:
@@ -412,19 +391,19 @@ class NodeState:
             return DROPPED[BAD_FIRST_HOP]
         reason, charged = self._check_reply(rrep, -1, True)
         if reason is not None:
-            return HandlerResult((), reason, charged)
+            return HandlerResult(drop=reason, charged=charged)
         self.routes[rrep.dest_id] = list(rrep.route)
         del self.pending[rrep.dest_id]
         self.log("route-accept", dest=rrep.dest_id, route=list(rrep.route))
-        return HandlerResult([AcceptedRoute(rrep.dest_id, list(rrep.route))],
-                             None, charged)
+        return HandlerResult(charged=charged)
 
     # -- timers and data ---------------------------------------------------
 
-    def on_timer(self, now: float, rng) -> list:
+    def on_timer(self, now: float, rng) -> list[tuple[int, Rreq | None]]:
         """Re-discover every timed-out pending request; give up when
-        retries are exhausted."""
-        actions = []
+        retries are exhausted. Returns a (dest, retry) pair for each: the
+        new request to broadcast, or None for a destination given up."""
+        expired = []
         timeout = self.config.rreq_timeout
         for dest in list(self.pending):
             pend = self.pending[dest]
@@ -434,12 +413,12 @@ class NodeState:
             del self.pending[dest]
             if pend.retries_remaining > 0:
                 # a pending request implies no valid route, so this builds one
-                actions.append(Broadcast(self.initiate_route_discovery(
+                expired.append((dest, self.initiate_route_discovery(
                     dest, now, rng, retries=pend.retries_remaining - 1)))
             else:
                 self.log("unroutable", dest=dest)
-                actions.append(Unroutable(dest))
-        return actions
+                expired.append((dest, None))
+        return expired
 
     def forward_data(self, packet: DataPacket, prev_hop: int | None,
                      now: float) -> int | str | None:

@@ -20,8 +20,9 @@ lookup and no handler call, so no duplicate reaches a handler except at a
 replay attacker, whose shim captures every copy it is handed. _hop
 settles a data hop, at an arrival or at the source: it logs a delivery or a
 drop, reports a relay's link break to the source at once, and lets a black
-or gray hole drop what it would forward. _apply settles a control
-handler's result: it logs the drop and carries out the actions.
+or gray hole drop what it would forward. _arrival settles a control
+handler's result: it logs a drop, or sends the one message, or, at a source
+that accepted a route, sends the packets buffered for it.
 Node records (credits, route changes) are built only when a log is kept:
 the live metrics fold none of them.
 
@@ -45,8 +46,7 @@ from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS, REPLAY,
 from .eventlog import Record
 from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
-from .protocol import (AcceptedRoute, Broadcast, HandlerResult, NodeState,
-                       ProtocolConfig, Unicast)
+from .protocol import NodeState, ProtocolConfig
 
 
 class ScenarioError(ValueError):
@@ -549,7 +549,7 @@ class Simulation:
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
                  now: float, still: bool = False):
         """Hand one copy to its receiver: a data packet to _hop, a control
-        message to its handler and the result to _apply. valid is the
+        message to its handler, whose result is settled here. valid is the
         transmission's verdict on it, and still says that no node has moved
         since it was sent, so the range test is skipped."""
         kind = type(message)
@@ -592,30 +592,21 @@ class Simulation:
 
         if attacker is not None:
             result = attacker.transform(result)
-        self._apply(receiver, message, result, now)
-
-    def _apply(self, node_id: int, message, result: HandlerResult,
-               now: float):
-        """Log the drop of node_id's control handler result for message and
-        carry out its actions."""
         if result.drop is not None:
-            self._emit(now, node_id, "drop", msg=_MSG_KIND[type(message)],
+            self._emit(now, receiver, "drop", msg=_MSG_KIND[kind],
                        reason=result.drop)
+            return
         # charged tag checks delay whatever the node sends in response
         t_eff = now + result.charged * self.config.tag_verify_cost
-        for action in result.actions:
-            if isinstance(action, Unicast):
-                self._unicast(node_id, action.next_hop, action.message, t_eff)
-            elif isinstance(action, Broadcast):
-                self._broadcast(node_id, action.message, t_eff)
-            elif isinstance(action, AcceptedRoute):
-                self._flush_buffer(node_id, action.dest, t_eff)
-
-    def _flush_buffer(self, node_id: int, dest: int, now: float):
-        # the route's first hop was just found in range: every packet goes out
-        node = self.nodes[node_id]
-        for packet in self.buffers[node_id].pop(dest, []):
-            self._source_route(node, packet, now)
+        if result.send is None:
+            # the source accepted a route whose first hop it just found in
+            # range: every packet buffered for it goes out
+            for packet in self.buffers[receiver].pop(message.dest_id, []):
+                self._source_route(node, packet, t_eff)
+        elif result.to is None:
+            self._broadcast(receiver, result.send, t_eff)
+        else:
+            self._unicast(receiver, result.to, result.send, t_eff)
 
     def _source_route(self, node: NodeState, packet: DataPacket, now: float):
         """Send a packet from its source along the node's valid route."""
@@ -643,20 +634,17 @@ class Simulation:
             else:
                 self._send(node.id, (hop,), packet, now)
 
-    def _drop_buffer(self, node_id: int, dest: int, now: float):
-        for packet in self.buffers[node_id].pop(dest, []):
-            self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
-                       seq=packet.seq, reason="no-route")
-
     def _timer(self, node_id: int, now: float):
         """Retry or give up each timed-out request of node_id. Every request
         sent, by _originate or by a retry here, pushes its own wake-up for
         its expiry in _request, so no other wake-up is needed."""
-        for action in self.nodes[node_id].on_timer(now, self.rng_protocol):
-            if isinstance(action, Broadcast):
-                self._request(node_id, action.message, now)
-            else:   # Unroutable
-                self._drop_buffer(node_id, action.dest, now)
+        for dest, rreq in self.nodes[node_id].on_timer(now, self.rng_protocol):
+            if rreq is not None:
+                self._request(node_id, rreq, now)
+                continue
+            for packet in self.buffers[node_id].pop(dest, []):
+                self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
+                           seq=packet.seq, reason="no-route")
 
     def _finalize(self):
         end = self.config.sim_time

@@ -12,8 +12,7 @@ import pytest
 
 from lararp.crypto import SharedKeyTable, generate_keychain
 from lararp.messages import wellformed
-from lararp.protocol import (DROPPED, MALFORMED, AcceptedRoute, Broadcast,
-                             NodeState, ProtocolConfig, Unicast)
+from lararp.protocol import DROPPED, MALFORMED, NodeState, ProtocolConfig
 
 
 class World:
@@ -76,9 +75,8 @@ class World:
                 outcome["dropped_at"] = hop
                 outcome["drop"] = result.drop
                 return outcome
-            (action,) = result.actions
-            assert isinstance(action, Broadcast)
-            msg, prev = action.message, hop
+            assert result.send is not None and result.to is None
+            msg, prev = result.send, hop
             if mutate_rreq is not None and mutate_rreq[0] == k:
                 mutate_rreq[1](msg)
         dresult = self.hand(dest.handle_rreq_at_destination, msg, prev, now)
@@ -87,13 +85,11 @@ class World:
             outcome["dropped_at"] = dst
             outcome["drop"] = dresult.drop
             return outcome
-        (action,) = dresult.actions
-        assert isinstance(action, Unicast)
-        msg, prev = action.message, dst
+        assert dresult.send is not None and dresult.to is not None
+        msg, prev, receiver = dresult.send, dst, dresult.to
         outcome["reverse_results"] = []
         hop_index = 0
         while True:
-            receiver = action.next_hop
             if receiver == src:
                 sresult = self.hand(self.nodes[src].handle_rrep_at_source,
                                     msg, prev, now)
@@ -102,9 +98,8 @@ class World:
                     outcome["dropped_at"] = src
                     outcome["drop"] = sresult.drop
                 else:
-                    (accept,) = sresult.actions
-                    assert isinstance(accept, AcceptedRoute)
-                    outcome["route"] = accept.route
+                    assert sresult.send is None
+                    outcome["route"] = list(self.nodes[src].routes[dst])
                 return outcome
             result = self.hand(self.nodes[receiver].handle_rrep, msg, prev,
                                now)
@@ -113,8 +108,7 @@ class World:
                 outcome["dropped_at"] = receiver
                 outcome["drop"] = result.drop
                 return outcome
-            (action,) = result.actions
-            msg, prev = action.message, receiver
+            msg, prev, receiver = result.send, receiver, result.to
             if mutate_rrep is not None and mutate_rrep[0] == hop_index:
                 mutate_rrep[1](msg)
             hop_index += 1

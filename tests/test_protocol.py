@@ -6,10 +6,10 @@ from conftest import World
 from lararp.crypto import verify_reveal, verify_tag
 from lararp.messages import DataPacket, hop_digest
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
-                             BAD_VERIFIER, Broadcast, DUPLICATE,
-                             FORWARDED, LINK_BREAK, MALFORMED,
-                             MISBEHAVED, NOT_IN_ROUTE, NeighborTrustTable,
-                             PROHIBITED, REPLAY, Unroutable, update_credit)
+                             BAD_VERIFIER, DUPLICATE, FORWARDED, LINK_BREAK,
+                             MALFORMED, MISBEHAVED, NOT_IN_ROUTE,
+                             NeighborTrustTable, PROHIBITED, REPLAY,
+                             update_credit)
 
 
 # -- discovery construction -------------------------------------------------
@@ -53,8 +53,7 @@ def test_handle_rreq_forwards_and_credits(line5):
     rreq = line5.nodes[0].initiate_route_discovery(4, 0.0, line5.rng)
     result = line5.nodes[1].handle_rreq(rreq, 0, 0.0)
     assert result.drop is None
-    (action,) = result.actions
-    fwd = action.message
+    fwd = result.send
     assert fwd.node_list == [1] and len(fwd.hop_tags) == 1
     assert line5.nodes[1].ntt.get(0) == 1    # CC incremented by one
     assert verify_tag(line5.shared_keys.key(1, 4), hop_digest(fwd, 0),
@@ -154,8 +153,7 @@ def test_reverse_tags_grow_per_hop(line5):
     out = line5.discover(0, 4, [1, 2, 3])
     results = out["reverse_results"]
     for i, result in enumerate(results):
-        (action,) = result.actions
-        assert len(action.message.reverse_hop_tags) == i + 1
+        assert len(result.send.reverse_hop_tags) == i + 1
 
 
 def test_tampered_rrep_route_dropped():
@@ -182,9 +180,9 @@ def test_rrep_to_node_not_in_route(line5):
     out = world.discover(0, 4, [1, 2, 3])
     rreq = world.nodes[0].initiate_route_discovery(3, 0.0, world.rng)
     result = world.nodes[1].handle_rreq(rreq, 0, 0.0)
-    fwd = result.actions[0].message
+    fwd = result.send
     dresult = world.nodes[3].handle_rreq_at_destination(fwd, 1, 0.0)
-    rrep = dresult.actions[0].message
+    rrep = dresult.send
     assert world.nodes[2].handle_rrep(rrep, 3, 0.0).drop == NOT_IN_ROUTE
 
 
@@ -194,7 +192,7 @@ def test_accept_and_replay_rejection(line5):
     out = line5.discover(0, 4, [1, 2, 3])
     assert out["route"] == [1, 2, 3]
     # capture the final rrep by rebuilding it from the reverse walk
-    final = out["reverse_results"][-1].actions[0].message
+    final = out["reverse_results"][-1].send
     again = line5.nodes[0].handle_rrep_at_source(final, 1, 1.0)
     assert again.drop == REPLAY    # pending cleared on accept
 
@@ -204,13 +202,13 @@ def test_first_hop_must_be_neighbor():
     world = World(4, adjacency=adjacency)
     rreq = world.nodes[0].initiate_route_discovery(3, 0.0, world.rng)
     r1 = world.nodes[1].handle_rreq(rreq, 0, 0.0)
-    r2 = world.nodes[2].handle_rreq(r1.actions[0].message, 1, 0.0)
-    d = world.nodes[3].handle_rreq_at_destination(r2.actions[0].message, 2, 0.0)
-    rrep = d.actions[0].message
+    r2 = world.nodes[2].handle_rreq(r1.send, 1, 0.0)
+    d = world.nodes[3].handle_rreq_at_destination(r2.send, 2, 0.0)
+    rrep = d.send
     r = world.nodes[2].handle_rrep(rrep, 3, 0.0)
-    rrep2 = r.actions[0].message
+    rrep2 = r.send
     r = world.nodes[1].handle_rrep(rrep2, 2, 0.0)
-    rrep3 = r.actions[0].message
+    rrep3 = r.send
     # sever the 0-1 link before the reply lands
     world.adjacency[0] = []
     result = world.nodes[0].handle_rrep_at_source(rrep3, 1, 0.0)
@@ -252,9 +250,9 @@ def test_timer_boundaries(line5):
     node.initiate_route_discovery(4, 0.0, line5.rng)
     first_id = node.pending[4].request_id
     assert node.on_timer(0.999, line5.rng) == []         # aged t - eps
-    actions = node.on_timer(1.0, line5.rng)              # aged exactly t
-    (bcast,) = [a for a in actions if isinstance(a, Broadcast)]
-    assert bcast.message.request_id != first_id          # fresh id
+    expired = node.on_timer(1.0, line5.rng)              # aged exactly t
+    (retry,) = [rreq for _, rreq in expired if rreq is not None]
+    assert retry.request_id != first_id                  # fresh id
     assert node.pending[4].retries_remaining == node.config.rreq_retries - 1
 
 
@@ -262,8 +260,8 @@ def test_timer_retries_exhausted(line5):
     node = line5.nodes[0]
     node.initiate_route_discovery(4, 0.0, line5.rng)
     node.pending[4].retries_remaining = 0
-    actions = node.on_timer(5.0, line5.rng)
-    assert actions == [Unroutable(dest=4)]
+    expired = node.on_timer(5.0, line5.rng)
+    assert expired == [(4, None)]
     assert 4 not in node.pending
     assert any(kind == "unroutable" for _, kind, _ in line5.events)
 
