@@ -107,9 +107,9 @@ class HandlerResult(NamedTuple):
     A result with neither is the source accepting a route; only
     handle_rrep_at_source returns one."""
     send: Rreq | Rrep | None = None
-    to: int | None = None        # send's one receiver; None broadcasts it
+    to: int | None = None    # send's one receiver; None broadcasts it
     drop: str | None = None
-    charged: int = 0             # expensive tag verifications to bill as latency
+    charged: int = 0         # expensive tag verifications to bill as latency
 
 
 # One shared result per reason for every uncharged drop.

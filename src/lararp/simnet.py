@@ -65,6 +65,13 @@ _MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 # 200,400), about 50 times less.
 MAX_TIMER_EVENTS = 10_000_000
 
+# The most nodes a config may ask for: set-up keeps about 2 KB per node
+# (38 MB for 20,000 nodes), whatever sim_time is, so far past it the build
+# alone exhausts memory. Not a knob: the largest network in the tests, the
+# demos, the default sweeps and the benchmark workloads has 1,000 nodes,
+# 100 times fewer.
+MAX_NODES = 100_000
+
 
 @dataclass
 class ScenarioConfig(ProtocolConfig, AttackConfig):
@@ -95,6 +102,8 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
     def validate(self):
         if self.node_count < 2:
             raise ScenarioError("node_count must be at least 2")
+        if self.node_count > MAX_NODES:
+            raise ScenarioError(f"node_count must be at most {MAX_NODES:,}")
         # each range test is written so that NaN fails it too; an infinite
         # time or rate never ends a run
         for name in ("area_width", "area_height", "radio_range", "bandwidth",
@@ -635,9 +644,10 @@ class Simulation:
                 self._send(node.id, (hop,), packet, now)
 
     def _timer(self, node_id: int, now: float):
-        """Retry or give up each timed-out request of node_id. Every request
-        sent, by _originate or by a retry here, pushes its own wake-up for
-        its expiry in _request, so no other wake-up is needed."""
+        """Retry or give up each timed-out request of node_id; giving up
+        drops the packets buffered for it. Every request sent, by _originate
+        or by a retry here, pushes its own wake-up for its expiry in
+        _request, so no other wake-up is needed."""
         for dest, rreq in self.nodes[node_id].on_timer(now, self.rng_protocol):
             if rreq is not None:
                 self._request(node_id, rreq, now)

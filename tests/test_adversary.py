@@ -105,6 +105,33 @@ def test_transform_leaves_its_input_alone():
     assert protocol.DROPPED == shared
 
 
+@pytest.mark.parametrize("field", ["source_id", "dest_id"])
+def test_tamperer_corrupts_what_it_broadcasts_and_what_it_unicasts(field):
+    # a forwarded request goes to every neighbour and a forwarded reply to
+    # one; a tamperer corrupts either before it goes on the air and leaves
+    # its receiver and the billed checks alone. A drop sends nothing, so it
+    # comes back as the same object, with no draw from rng
+    out = World.line(4).discover(0, 3, [1, 2])
+    forwarded = [out["forward_results"][0], out["reverse_results"][0]]
+    assert [result.to for result in forwarded] == [None, 1]
+    attacker = Attacker(AttackConfig(attacker_kind="tamper",
+                                     tamper_field=field),
+                        None, random.Random(0))
+    for result in forwarded:
+        sent = copy.deepcopy(result.send)
+        to, charged = result.to, result.charged
+        assert attacker.transform(result) is result
+        assert getattr(result.send, field) == getattr(sent, field) + 1
+        assert (result.to, result.charged) == (to, charged)
+    state = attacker.rng.getstate()
+    for dropped in (DROPPED[protocol.BAD_HOP_TAG],
+                    protocol.HandlerResult(drop=protocol.BAD_HOP_TAG,
+                                           charged=2)):
+        assert attacker.transform(dropped) is dropped
+        assert dropped.send is None
+    assert attacker.rng.getstate() == state
+
+
 def test_rushing_attacker_has_zero_processing_delay():
     config = AttackConfig(attacker_kind="rushing")
     attacker = Attacker(config, None, random.Random(0))

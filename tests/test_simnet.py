@@ -132,7 +132,9 @@ def test_scenario_parse_rejects_unknown_tamper_field():
                  id="rreq_retries-1000-timeout-0"),
     pytest.param("flood_rate",
                  "1000\nattacker_kind = controlflood\nattacker_count = 10",
-                 id="flood_rate-1000-controlflood-10-attackers")])
+                 id="flood_rate-1000-controlflood-10-attackers"),
+    pytest.param("node_count", "1000000000\nsim_time = 0.0001",
+                 id="node_count-1e9-sim_time-1e-4")])
 def test_scenario_parse_rejects_unusable_value(key, value):
     # attacker values are rejected even with no attackers, where
     # Simulation would not use them; a NaN or infinite sim_time, flow_rate
@@ -142,7 +144,8 @@ def test_scenario_parse_rejects_unusable_value(key, value):
     # step 1000 nodes, nor a discovery retried without end, nor a thousand
     # instant retries that each flood every node, nor 10,000 flood requests
     # a second that every node forwards, and an infinite area places nodes
-    # at infinity
+    # at infinity; a billion nodes fit the timer budget at a tiny sim_time
+    # but set-up alone would need terabytes. Only the parser runs here
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -586,6 +589,41 @@ def test_no_duplicate_reaches_a_handler_but_a_replay_attackers(
         assert ({i: a._replayed for i, a in sim.attackers.items()}
                 == {i: a._replayed for i, a in reference.attackers.items()})
         assert format_log(sim.records) == format_log(reference.records)
+
+
+@PROTOCOLS
+@pytest.mark.parametrize("kind,field", [
+    ("tamper", "node_list"), ("tamper", "route"), ("replay", "node_list")])
+def test_a_control_handler_sends_one_message_or_drops(monkeypatch, kind,
+                                                      field, protocol):
+    # _arrival settles a control result by its drop, else by its send, else
+    # as an accepted route: a forwarder or a destination returns exactly one
+    # of send and drop, and the source never sends and holds a route to the
+    # destination whenever it does not drop
+    outcomes = set()
+
+    def checked(real):
+        def handler(self, message, prev_hop, now):
+            result = real(self, message, prev_hop, now)
+            if real.__name__ == "handle_rrep_at_source":
+                assert result.send is None
+                assert (result.drop is not None
+                        or self.has_route(message.dest_id))
+            else:
+                assert (result.send is None) != (result.drop is None)
+            outcomes.add((real.__name__, result.drop is None))
+            return result
+        return handler
+
+    names = ("handle_rreq", "handle_rreq_at_destination", "handle_rrep",
+             "handle_rrep_at_source")
+    for name in names:
+        monkeypatch.setattr(NodeState, name, checked(getattr(NodeState, name)))
+    Simulation(ScenarioConfig(sim_time=20.0, attacker_count=10,
+                              attacker_kind=kind, tamper_field=field,
+                              protocol=protocol)).run()
+    # every handler sent or accepted, and some handler dropped
+    assert {(name, True) for name in names} < outcomes
 
 
 @pytest.mark.parametrize("x,logged", [(100.0, "drop"),
