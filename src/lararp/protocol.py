@@ -427,8 +427,11 @@ class NodeState:
         drop reason. A next hop out of range is a LINK_BREAK, which also
         invalidates this node's own route to the destination."""
         if self.keeps_credit and prev_hop in self.publics:
-            cc = self.ntt.credits[prev_hop] = self.ntt.get(prev_hop) + 1
-            self.log("credit", neighbor=prev_hop, event=FORWARDED, cc=cc)
+            ntt = self.ntt
+            cc = ntt.credits[prev_hop] = ntt.credits.get(
+                prev_hop, ntt.initial_credit) + 1
+            if self.log is not _noop_log:    # a log is kept
+                self.log("credit", neighbor=prev_hop, event=FORWARDED, cc=cc)
         if self.id == packet.dest_id:
             return None
         route = packet.route

@@ -4,27 +4,28 @@ drives protocol handlers and attacker shims.
 
 An event is a handler call: a heap entry is ``(time, ordinal, handler,
 args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
-time ties in push order. One transmission is one event and one validation:
-a broadcast or unicast pushes a single ``_transmission`` naming its
-receivers. A neighbour row is the receiver set of a broadcast, taken at
+time ties in push order. _send puts each message on the air as one event:
+a data hop is the event ``_hop``, which is the data arrival, and a control
+broadcast or unicast is one ``_transmission`` naming its receivers, and one
+validation. A neighbour row is the receiver set of a broadcast, taken at
 send time, and nothing else builds one: a unicast hop tests its one link
 with MobilityState.in_range. The transmission decides once whether a
-control message is well-formed, then hands the message to each receiver in
-turn, in ascending id order; every receiver drops a malformed one as it
-arrives, without a handler call. That verdict holds for every receiver
-because they all get the same object and nothing changes a message once it
-is on the air. Every receiver is in range when a message is sent, and an
-arrival re-tests the range only if a node has moved since. A receiver in
-range drops a valid request it has already seen at the radio, with one set
+control message is well-formed, then hands it to each receiver in turn, in
+ascending id order; every receiver drops a malformed one as it arrives,
+without a handler call. That verdict holds for every receiver because they
+all get the same object and nothing changes a message once it is on the
+air. Every receiver is in range when a message is sent, and an arrival
+re-tests the range only if a node has moved since. A receiver in range
+drops a valid request it has already seen at the radio, with one set
 lookup and no handler call, so no duplicate reaches a handler except at a
-replay attacker, whose shim captures every copy it is handed. _hop
-settles a data hop, at an arrival or at the source: it logs a delivery or a
+replay attacker, whose shim captures every copy it is handed. _hop settles
+a data hop, at an arrival or at the source: it logs a loss, a delivery or a
 drop, reports a relay's link break to the source at once, and lets a black
 or gray hole drop what it would forward. _arrival settles a control
 handler's result: it logs a drop, or sends the one message, or, at a source
-that accepted a route, sends the packets buffered for it.
-Node records (credits, route changes) are built only when a log is kept:
-the live metrics fold none of them.
+that accepted a route, sends the packets buffered for it. Node records
+(credits, route changes) are built, and a data hop calls a node's logger,
+only when a log is kept: the live metrics fold none of them.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -459,7 +460,7 @@ class Simulation:
     def _originate(self, src: int, packet: DataPacket, now: float):
         node = self.nodes[src]
         dest = packet.dest_id
-        if node.has_route(dest):
+        if dest in node.routes:
             # a valid route always has an empty buffer (every accepted route
             # flushes it at once), so the packet goes out alone
             self._source_route(node, packet, now)
@@ -486,14 +487,17 @@ class Simulation:
 
     # -- radio ------------------------------------------------------------
 
-    def _send(self, sender: int, receivers, message, now: float):
-        """Put message on the air at now: one event reaches every receiver
-        after serialization plus the sender's processing delay. Every
+    def _send(self, sender: int, to, message, now: float):
+        """Put message on the air at now with one heap push: after airtime
+        and processing delay, a data packet's one receiver to gets the event
+        _hop, a control message's receivers to one _transmission. Every
         receiver is in range now: a broadcast names the sender's row, a data
-        packet goes to a hop that forward_data found in range, and a
-        control unicast passed in_range. The event keeps the neighbour rows
-        current now, so the arrival knows whether any node moved since."""
-        if not isinstance(message, DataPacket):
+        packet goes to a hop that forward_data found in range, and a control
+        unicast passed in_range. The event keeps the neighbour rows current
+        now, so the arrival knows whether any node moved since."""
+        event = self._hop
+        if type(message) is not DataPacket:
+            event = self._transmission
             self._emit(self.now, sender, "control-send",
                        msg=_MSG_KIND[type(message)],
                        src=message.source_id, dst=message.dest_id)
@@ -501,9 +505,11 @@ class Simulation:
         attacker = self.attackers.get(sender)
         if attacker is not None:
             delay = attacker.processing_delay(delay)
-        self._push(now + wire_size(message) * 8.0 / self.config.bandwidth
-                   + delay, self._transmission, sender, receivers, message,
-                   self.mobility._nbr_cache)
+        heapq.heappush(self._heap, (
+            now + wire_size(message) * 8.0 / self.config.bandwidth + delay,
+            self._ordinal, event, (sender, to, message,
+                                   self.mobility._nbr_cache)))
+        self._ordinal += 1
 
     def _broadcast(self, sender: int, message, now: float):
         self._send(sender, self.mobility.neighbors(sender), message, now)
@@ -519,13 +525,13 @@ class Simulation:
 
     def _transmission(self, sender: int, receivers, message, rows,
                       now: float):
-        """Hand one transmission to each receiver in turn. A receiver in
-        range that has already seen a valid request drops it here as a
-        duplicate, without a handler call: the handler's first test would
-        drop it and do nothing else, and an attacker's shim would pass that
-        drop through unchanged. Only a replay attacker still gets every
-        copy, since its shim captures what it is handed."""
-        valid = type(message) is DataPacket or wellformed(message)
+        """Hand one control transmission to each receiver in turn. A
+        receiver in range that has already seen a valid request drops it
+        here as a duplicate, without a handler call: the handler's first
+        test would drop it and do nothing else, and an attacker's shim would
+        pass that drop through unchanged. Only a replay attacker still gets
+        every copy, since its shim captures what it is handed."""
+        valid = wellformed(message)
         # positions change only where the rows are dropped, so while the
         # send's rows are current every receiver is still in range
         still = rows is not None and rows is self.mobility._nbr_cache
@@ -537,9 +543,9 @@ class Simulation:
         for receiver in receivers:
             # tested at the receiver's own turn, against the seen set its
             # handler would test; a handler changes no other node's set.
-            # The range is tested last and only after a move, so a data hop
-            # and an unseen request never pay for it; a copy out of range
-            # goes on to _arrival, which logs it lost
+            # The range is tested last and only after a move, so an unseen
+            # request never pays for it; a copy out of range goes on to
+            # _arrival, which logs it lost
             if (request is not None
                     and request in nodes[receiver].seen_requests
                     and receiver not in replayers
@@ -557,20 +563,13 @@ class Simulation:
 
     def _arrival(self, sender: int, receiver: int, message, valid: bool,
                  now: float, still: bool = False):
-        """Hand one copy to its receiver: a data packet to _hop, a control
-        message to its handler, whose result is settled here. valid is the
-        transmission's verdict on it, and still says that no node has moved
-        since it was sent, so the range test is skipped."""
+        """Hand one copy of a control message to its receiver's handler,
+        whose result is settled here. valid is the transmission's verdict on
+        it, and still says that no node has moved since it was sent, so the
+        range test is skipped."""
         kind = type(message)
         if not (still or self.mobility.in_range(sender, receiver)):
-            if kind is DataPacket:
-                self._emit(now, receiver, "data-lost", flow=message.flow_id,
-                           seq=message.seq)
-            else:
-                self._emit(now, receiver, "control-lost", msg=_MSG_KIND[kind])
-            return
-        if kind is DataPacket:
-            self._hop(self.nodes[receiver], message, sender, now)
+            self._emit(now, receiver, "control-lost", msg=_MSG_KIND[kind])
             return
         node = self.nodes[receiver]
         attacker = self.attackers.get(receiver)
@@ -620,28 +619,36 @@ class Simulation:
     def _source_route(self, node: NodeState, packet: DataPacket, now: float):
         """Send a packet from its source along the node's valid route."""
         packet.route = list(node.routes[packet.dest_id])
-        self._hop(node, packet, None, now)
+        self._hop(None, node.id, packet, None, now)
 
-    def _hop(self, node: NodeState, packet: DataPacket, prev_hop: int | None,
-             now: float):
-        """Settle one data hop at node from prev_hop (None at the source);
-        at the source, forward_data has already invalidated a broken route."""
+    def _hop(self, prev_hop: int | None, node_id: int, packet: DataPacket,
+             rows, now: float):
+        """The data arrival: settle packet at node_id from prev_hop, lost if
+        node_id left range since the rows went stale. The source calls it
+        with prev_hop None and no rows; forward_data drops its broken route."""
+        if ((rows is None or rows is not self.mobility._nbr_cache)
+                and prev_hop is not None
+                and not self.mobility.in_range(prev_hop, node_id)):
+            self._emit(now, node_id, "data-lost", flow=packet.flow_id,
+                       seq=packet.seq)
+            return
+        node = self.nodes[node_id]
         hop = node.forward_data(packet, prev_hop, now)
         if hop is None:
-            self._emit(now, node.id, "data-delivered", flow=packet.flow_id,
+            self._emit(now, node_id, "data-delivered", flow=packet.flow_id,
                        seq=packet.seq, delay=now - packet.created_at)
         elif type(hop) is str:
-            self._emit(now, node.id, "data-dropped", flow=packet.flow_id,
+            self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
                        seq=packet.seq, reason=hop)
-            if hop == protocol.LINK_BREAK and packet.source_id != node.id:
+            if hop == protocol.LINK_BREAK and packet.source_id != node_id:
                 self.nodes[packet.source_id].invalidate_route(packet.dest_id)
         else:
-            attacker = self.attackers.get(node.id)
+            attacker = self.attackers.get(node_id)
             if attacker is not None and attacker.drops_data(packet):
-                self._emit(now, node.id, "data-dropped", flow=packet.flow_id,
+                self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
                            seq=packet.seq, reason=attacker.kind)
             else:
-                self._send(node.id, (hop,), packet, now)
+                self._send(node_id, hop, packet, now)
 
     def _timer(self, node_id: int, now: float):
         """Retry or give up each timed-out request of node_id; giving up

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lararp import crypto
+from lararp import crypto, protocol
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rreq, wellformed
@@ -443,6 +443,7 @@ def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
     arrived = []
     real_send = Simulation._send
     real_transmission = Simulation._transmission
+    real_hop = Simulation._hop
 
     def send(self, sender, receivers, message, now):
         # the first send: a data packet is sent again, unchanged, per hop
@@ -454,8 +455,16 @@ def test_messages_on_the_air_are_never_mutated(monkeypatch, kind, field,
         arrived.append(type(message))
         return real_transmission(self, sender, receivers, message, *args)
 
+    def hop(self, prev_hop, node_id, packet, *args):
+        # a data packet's arrival; the source calls _hop before any send
+        if prev_hop is not None:
+            assert packet == sent[id(packet)][1]
+            arrived.append(type(packet))
+        return real_hop(self, prev_hop, node_id, packet, *args)
+
     monkeypatch.setattr(Simulation, "_send", send)
     monkeypatch.setattr(Simulation, "_transmission", transmission)
+    monkeypatch.setattr(Simulation, "_hop", hop)
     run(attack_config(kind, field, protocol))
     assert Rreq in arrived and DataPacket in arrived
 
@@ -543,7 +552,7 @@ def test_seen_request_reaches_no_handler(monkeypatch):
 def every_copy_to_its_handler(sim, sender, receivers, message, rows, now):
     """A radio that settles nothing itself: each receiver's _arrival tests
     the range and calls the handler."""
-    valid = type(message) is DataPacket or wellformed(message)
+    valid = wellformed(message)
     for receiver in receivers:
         sim._arrival(sender, receiver, message, valid, now)
 
@@ -679,7 +688,7 @@ def test_arrival_range_agrees_with_neighbor_rows(far, neighbor):
     sim = Simulation(cfg, keep_log=True)
     packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=1,
                         payload_size=512, route=[], created_at=0.0)
-    sim._arrival(0, 1, packet, True, 0.01)
+    sim._hop(0, 1, packet, None, 0.01)
     delivered = [r.kind for r in sim.records].count("data-delivered") == 1
     assert (1 in sim.mobility.neighbors(0)) == neighbor
     assert delivered == neighbor
@@ -690,9 +699,9 @@ def test_arrival_range_agrees_with_neighbor_rows(far, neighbor):
 
 def test_arrival_skips_range_test_while_rows_are_current(monkeypatch):
     # no node moves on a static run, so the neighbour rows a transmission
-    # was sent with are still current when it arrives, and every receiver
-    # is known to be in range; control unicasts are still range-tested when
-    # they are sent
+    # or a data hop was sent with are still current when it arrives, and
+    # every receiver is known to be in range; a data packet's next hop and
+    # control unicasts are still range-tested when they are sent
     callers = []
     real_in_range = MobilityState.in_range
 
@@ -707,8 +716,99 @@ def test_arrival_skips_range_test_while_rows_are_current(monkeypatch):
                          pause_time=100.0, sim_time=5.0)
     report, _ = run(cfg)
     assert report.data_delivered > 0
-    assert "_unicast" in callers
-    assert callers.count("_arrival") == 0
+    assert "_unicast" in callers and "forward_data" in callers
+    assert callers.count("_arrival") == callers.count("_hop") == 0
+
+
+def test_a_data_hop_is_one_event(monkeypatch):
+    # on a static line 0-1-2-3 a packet costs its flow tick and one heap
+    # event per hop, the _hop that _send pushes; no data packet goes
+    # through the control radio
+    radio = []
+    for name in ("_transmission", "_arrival"):
+        real = getattr(Simulation, name)
+
+        def control_only(self, sender, receiver, message, *args, real=real):
+            radio.append(type(message))
+            return real(self, sender, receiver, message, *args)
+
+        monkeypatch.setattr(Simulation, name, control_only)
+    events = []
+    real_heappop = heapq.heappop
+
+    def heappop(heap):
+        events.append(real_heappop(heap))
+        return events[-1]
+
+    monkeypatch.setattr(heapq, "heappop", heappop)
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(i * 200.0, 0.0) for i in range(4)],
+                         flows=[(0, 3)], flow_count=1, pause_time=100.0,
+                         sim_time=5.0)
+    report, _ = run(cfg)
+    assert report.pdr == 1.0
+    assert radio and DataPacket not in radio
+    # the loop handles every event it pops up to sim_time
+    handled = [(handler.__name__, args) for time, _, handler, args in events
+               if time <= cfg.sim_time]
+    assert ([name for name, _ in handled].count("_flow_tick")
+            == report.data_sent)
+    carried = {}
+    for name, args in handled:
+        for arg in args:
+            if type(arg) is DataPacket:
+                carried.setdefault(id(arg), []).append((name, args[:2]))
+    assert len(carried) == report.data_delivered
+    assert all(hops == [("_hop", (0, 1)), ("_hop", (1, 2)), ("_hop", (2, 3))]
+               for hops in carried.values())
+
+
+def test_a_data_hop_calls_no_node_logger_without_a_log(monkeypatch):
+    # without a kept log a node's logger is protocol._noop_log, and a data
+    # hop does not call it; with a log, every forward_data call from a hop
+    # logs exactly its one credit record
+    calls = []
+
+    def noop_log(kind, **details):
+        calls.append((kind, any(frame.f_code.co_name == "_hop"
+                                for frame in stack())))
+
+    def stack():
+        frame = sys._getframe(1)
+        while frame is not None:
+            yield frame
+            frame = frame.f_back
+
+    monkeypatch.setattr(protocol, "_noop_log", noop_log)
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(i * 200.0, 0.0) for i in range(4)],
+                         flows=[(0, 3)], flow_count=1, pause_time=100.0,
+                         sim_time=5.0)
+    report, _ = run(cfg)
+    assert report.pdr == 1.0 and calls
+    assert not [kind for kind, on_hop in calls if on_hop]
+
+    monkeypatch.undo()
+    sim = Simulation(cfg, keep_log=True)
+    real_forward = NodeState.forward_data
+    forwards = []
+
+    def forward_data(self, packet, prev_hop, now):
+        before = len(sim.records)
+        hop = real_forward(self, packet, prev_hop, now)
+        added = [(r.node, r.kind, r.details) for r in sim.records[before:]]
+        if prev_hop is None:
+            assert added == []
+        else:
+            cc = self.ntt.get(prev_hop)
+            assert added == [(self.id, "credit", {
+                "neighbor": prev_hop, "event": "forwarded", "cc": cc})]
+            forwards.append(prev_hop)
+        return hop
+
+    monkeypatch.setattr(NodeState, "forward_data", forward_data)
+    report = sim.run()
+    assert len(forwards) == 3 * report.data_delivered
 
 
 @PROTOCOLS
@@ -750,7 +850,7 @@ def test_in_flight_loss_when_receiver_moves_away():
                         payload_size=512, route=[], created_at=0.0)
     sim.mobility.x[1] = 500.0    # receiver out of range before arrival
     sim.mobility._nbr_cache = None
-    sim._arrival(0, 1, packet, True, 0.01)
+    sim._hop(0, 1, packet, None, 0.01)
     assert any(r.kind == "data-lost" for r in sim.records)
 
 
