@@ -5,8 +5,7 @@ from .crypto import (ChainExhausted, KeyChain, SharedKeyTable, compute_tag,
                      generate_keychain, reveal_next, verify_reveal, verify_tag)
 from .messages import (DataPacket, EncodingError, Rrep, Rreq, decode, encode,
                        hop_digest)
-from .protocol import (NeighborTrustTable, NodeState, ProtocolConfig,
-                       update_credit)
+from .protocol import NodeState, ProtocolConfig
 from .adversary import AttackConfig, Attacker
 from .simnet import (MobilityState, ScenarioConfig, ScenarioError, Simulation,
                      load_scenario, parse_scenario, run, step_mobility)

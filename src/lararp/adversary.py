@@ -126,9 +126,9 @@ class Attacker:
     def drops_data(self, packet: DataPacket) -> bool:
         """Whether this node drops a data packet it would forward: a black
         hole every one, a gray hole each with grayhole_drop_prob, drawn once
-        per packet. Its own packets are never dropped, with no draw."""
-        if self.node.id == packet.source_id:
-            return False
+        per packet. An attacker is never a flow endpoint (validate and
+        Simulation draw attackers from the other nodes), so every packet
+        it is asked about is one it relays."""
         if self.kind == BLACK_HOLE:
             return True
         return (self.kind == GRAY_HOLE

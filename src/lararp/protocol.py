@@ -1,6 +1,7 @@
-"""One node state machine for route discovery, run under a verification
-policy: LARARP and the verify-everything baseline are two entries of
-POLICIES, not two code paths.
+"""One node state machine for route discovery, run under one of the
+PROTOCOLS: LARARP keeps a credit counter per neighbour, and the
+verify-everything baseline checks every hop tag instead. Both run the same
+code path.
 
 Handlers are synchronous and engine-agnostic: they receive the current
 time. A control handler returns a HandlerResult: the one message it sends
@@ -42,19 +43,12 @@ FORWARDED = "forwarded"
 MISBEHAVED = "misbehaved"
 
 
-class Policy(NamedTuple):
-    keeps_credit: bool   # a trust table: skip vetted hops, prohibit the rest
-    path_checks: bool    # forwarders check every tag accumulated so far
-
-
-POLICIES = {"lararp": Policy(keeps_credit=True, path_checks=False),
-            "baseline": Policy(keeps_credit=False, path_checks=True)}
-PROTOCOLS = tuple(POLICIES)
+PROTOCOLS = ("lararp", "baseline")
 
 
 @dataclass
 class ProtocolConfig:
-    protocol: str = "lararp"           # a key of POLICIES
+    protocol: str = "lararp"           # one of PROTOCOLS
     credit_threshold: int = 0          # C_t
     initial_credit: int = 0
     punish_delta: int = 2
@@ -62,37 +56,6 @@ class ProtocolConfig:
     rreq_retries: int = 2
     full_verification: bool = False    # the destination checks every hop
     chain_length: int = 256
-
-
-class NeighborTrustTable:
-    """Per-node map from neighbor id to credit counter CC.
-
-    Absent neighbors read as the initial credit.
-    """
-
-    def __init__(self, initial_credit: int = 0):
-        self.initial_credit = initial_credit
-        self.credits: dict[int, int] = {}
-
-    def get(self, neighbor: int) -> int:
-        return self.credits.get(neighbor, self.initial_credit)
-
-    def items(self):
-        return sorted(self.credits.items())
-
-
-def update_credit(ntt: NeighborTrustTable, neighbor: int, event: str,
-                  punish_delta: int = 2) -> int:
-    """Reward a forward with +1, punish misbehavior with -punish_delta."""
-    cc = ntt.get(neighbor)
-    if event == FORWARDED:
-        cc += 1
-    elif event == MISBEHAVED:
-        cc -= punish_delta
-    else:
-        raise ValueError(f"unknown credit event {event!r}")
-    ntt.credits[neighbor] = cc
-    return cc
 
 
 @dataclass
@@ -123,17 +86,20 @@ def _noop_log(kind, **details):
 
 
 class NodeState:
-    """One node's routing state, run under the verification policy of
-    config.protocol: whether it keeps credit, and whether it checks the
-    tags of the whole path as a forwarder. As a destination it checks
-    every hop it has not vetted, and under full_verification every hop."""
+    """One node's routing state under config.protocol. Under LARARP it
+    keeps credit: credits maps a neighbour id to its counter CC, an absent
+    neighbour reads as config.initial_credit, and _credit is its one
+    writer. Under the baseline it keeps none, and a forwarder checks the
+    tags of the whole path. As a destination it checks every hop it has
+    not vetted, and under full_verification every hop."""
 
     def __init__(self, node_id: int, keychain: crypto.KeyChain,
                  shared_keys: crypto.SharedKeyTable, publics: dict,
                  config: ProtocolConfig, in_range_fn, log=_noop_log):
-        if config.protocol not in POLICIES:
+        if config.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {config.protocol!r}")
-        self.keeps_credit, self.path_checks = POLICIES[config.protocol]
+        self.keeps_credit = config.protocol == "lararp"
+        self.path_checks = not self.keeps_credit
         self.id = node_id
         self.keychain = keychain
         self.shared_keys = shared_keys
@@ -142,7 +108,7 @@ class NodeState:
         # (a, b) -> whether b is a's neighbour; each hop tests its one link
         self.in_range_fn = in_range_fn
         self.log = log
-        self.ntt = NeighborTrustTable(config.initial_credit)
+        self.credits: dict[int, int] = {}          # neighbour -> CC
         self.routes: dict[int, list[int]] = {}     # dest -> valid route
         self.seen_requests: set[tuple[int, bytes]] = set()
         # revealed chain element (index, secret) -> the request id it was
@@ -161,28 +127,30 @@ class NodeState:
         return self.shared_keys.key(self.id, other)
 
     def _tag_matches(self, a: int, b: int, payload: bytes, tag: bytes) -> bool:
-        """Recompute a tag under key(a, b); unknown ids (a tampered list can
+        """Verify a tag under key(a, b); unknown ids (a tampered list can
         name nodes that do not exist) simply fail verification."""
         try:
             key = self.shared_keys.key(a, b)
         except KeyError:
             return False
-        return compute_tag(key, payload) == tag
-
-    def has_route(self, dest: int) -> bool:
-        return dest in self.routes
+        return verify_tag(key, payload, tag)
 
     def invalidate_route(self, dest: int):
         if self.routes.pop(dest, None) is not None:
             self.log("route-invalidated", dest=dest, reason=LINK_BREAK)
 
     def _credit(self, neighbor: int, event: str):
-        # ids outside the network (a tampered node_list can name them, and
-        # None is no hop at all) have no trust entry to reward or punish
+        """The one writer of credits: reward a FORWARDED with +1, punish a
+        MISBEHAVED with -punish_delta. Ids outside the network (a tampered
+        node_list can name them, and None is no hop at all) have no credit
+        to reward or punish."""
         if not self.keeps_credit or neighbor not in self.publics:
             return
-        cc = update_credit(self.ntt, neighbor, event, self.config.punish_delta)
-        self.log("credit", neighbor=neighbor, event=event, cc=cc)
+        cc = self.credits.get(neighbor, self.config.initial_credit)
+        cc = cc + 1 if event == FORWARDED else cc - self.config.punish_delta
+        self.credits[neighbor] = cc
+        if self.log is not _noop_log:    # a log is kept
+            self.log("credit", neighbor=neighbor, event=event, cc=cc)
 
     def _count_checks(self, n: int, as_dest: bool = False):
         self.hop_tag_checks += n
@@ -195,7 +163,7 @@ class NodeState:
                                  retries: int | None = None) -> Rreq | None:
         """Construct and register a fresh RREQ, or None if a valid route
         already exists."""
-        if self.has_route(dest):
+        if dest in self.routes:
             return None
         rreq = self.new_rreq(dest, rng)
         if retries is None:
@@ -311,7 +279,8 @@ class NodeState:
         for k, node in enumerate(rreq.node_list):
             # a node with no key chain is never vetted
             vetted = (self.keeps_credit and node in self.publics
-                      and self.ntt.get(node) >= self.config.credit_threshold)
+                      and self.credits.get(node, self.config.initial_credit)
+                      >= self.config.credit_threshold)
             if vetted and not self.config.full_verification:
                 continue
             checks += 1
@@ -426,12 +395,7 @@ class NodeState:
         hop: return the next hop id, None when it is delivered here, or the
         drop reason. A next hop out of range is a LINK_BREAK, which also
         invalidates this node's own route to the destination."""
-        if self.keeps_credit and prev_hop in self.publics:
-            ntt = self.ntt
-            cc = ntt.credits[prev_hop] = ntt.credits.get(
-                prev_hop, ntt.initial_credit) + 1
-            if self.log is not _noop_log:    # a log is kept
-                self.log("credit", neighbor=prev_hop, event=FORWARDED, cc=cc)
+        self._credit(prev_hop, FORWARDED)
         if self.id == packet.dest_id:
             return None
         route = packet.route

@@ -578,6 +578,7 @@ class Simulation:
                 self._push(inject_at, self._broadcast, receiver, copy_msg)
 
         before = node.hop_tag_checks
+        before_dest = node.hop_tag_checks_as_dest
         if not valid:
             result = protocol.DROPPED[protocol.MALFORMED]
         elif kind is Rreq:
@@ -592,8 +593,8 @@ class Simulation:
                 result = node.handle_rrep(message, sender, now)
 
         if node.hop_tag_checks != before:
-            # only the destination's RREQ handler counts destination checks
-            role = ("dest" if kind is Rreq and receiver == message.dest_id
+            # a destination's checks move hop_tag_checks_as_dest as well
+            role = ("dest" if node.hop_tag_checks_as_dest != before_dest
                     else "path")
             self._emit(now, receiver, "hop-tag-verify",
                        n=node.hop_tag_checks - before, role=role)
@@ -667,7 +668,7 @@ class Simulation:
         end = self.config.sim_time
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            for neighbor, cc in node.ntt.items():
+            for neighbor, cc in sorted(node.credits.items()):
                 self._emit(end, node_id, "ntt-final", neighbor=neighbor, cc=cc)
             self._emit(end, node_id, "verify-final",
                        hop_tag_checks=node.hop_tag_checks,

@@ -1,6 +1,6 @@
 import pytest
 
-from lararp.eventlog import Record, format_log, parse_log
+from lararp.eventlog import Record, format_log, id_list, parse_log
 from lararp.metrics import MetricsCollector, fold
 from lararp.simnet import ScenarioConfig, run
 
@@ -115,3 +115,13 @@ def test_request_ids_round_trip_as_text():
     assert "3e27941960784963" in [r.details["request_id"] for r in starts]
     assert ([r.details["request_id"] for r in parsed]
             == [r.details["request_id"] for r in starts])
+
+
+@pytest.mark.parametrize("route", [[], [5], [1, 2, 3]])
+def test_route_lists_round_trip(route):
+    # a list is written ;-joined, so one id reads back as a scalar and no
+    # id as empty text; id_list restores the list either way
+    records = [Record(0.5, 0, "route-accept", {"dest": 4, "route": route})]
+    (parsed,) = parse_log(format_log(records))
+    assert parsed.details["dest"] == 4
+    assert id_list(parsed.details["route"]) == route

@@ -8,8 +8,7 @@ from lararp.messages import DataPacket, hop_digest
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
                              BAD_VERIFIER, DUPLICATE, FORWARDED, LINK_BREAK,
                              MALFORMED, MISBEHAVED, NOT_IN_ROUTE,
-                             NeighborTrustTable, PROHIBITED, REPLAY,
-                             update_credit)
+                             PROHIBITED, REPLAY)
 
 
 # -- discovery construction -------------------------------------------------
@@ -55,7 +54,8 @@ def test_handle_rreq_forwards_and_credits(line5):
     assert result.drop is None
     fwd = result.send
     assert fwd.node_list == [1] and len(fwd.hop_tags) == 1
-    assert line5.nodes[1].ntt.get(0) == 1    # CC incremented by one
+    # CC incremented by one
+    assert line5.nodes[1].credits.get(0, line5.config.initial_credit) == 1
     assert verify_tag(line5.shared_keys.key(1, 4), hop_digest(fwd, 0),
                       fwd.hop_tags[0])
 
@@ -111,7 +111,7 @@ def test_forged_hop_tag_from_distrusted_node_punished():
     world = World.line(4)
     # start the forger low enough that the +1 credit for delivering the
     # RREQ still leaves it below threshold, so its tag gets verified
-    world.nodes[3].ntt.credits[2] = -2
+    world.nodes[3].credits[2] = -2
 
     def forge(msg):
         msg.hop_tags[-1] = bytes(16)
@@ -120,12 +120,13 @@ def test_forged_hop_tag_from_distrusted_node_punished():
     assert out["drop"] == BAD_HOP_TAG
     assert out["dropped_at"] == 3
     # oracle: -2, +1 on arrival, then punished by punish_delta
-    assert world.nodes[3].ntt.get(2) == -2 + 1 - world.config.punish_delta
+    assert (world.nodes[3].credits.get(2, world.config.initial_credit)
+            == -2 + 1 - world.config.punish_delta)
 
 
 def test_prohibited_node_with_valid_tag_dropped():
     world = World.line(4)
-    world.nodes[3].ntt.credits[2] = -5
+    world.nodes[3].credits[2] = -5
     out = world.discover(0, 3, [1, 2])
     assert out["drop"] == PROHIBITED
 
@@ -217,16 +218,13 @@ def test_first_hop_must_be_neighbor():
 
 # -- credits ----------------------------------------------------------------
 
-def test_update_credit_arithmetic():
-    ntt = NeighborTrustTable(initial_credit=0)
-    assert update_credit(ntt, 7, FORWARDED) == 1
-    ntt2 = NeighborTrustTable(initial_credit=0)
-    assert update_credit(ntt2, 7, MISBEHAVED, punish_delta=2) == -2
-
-
-def test_update_credit_rejects_unknown_event():
-    with pytest.raises(ValueError):
-        update_credit(NeighborTrustTable(), 1, "noop")
+def test_credit_arithmetic():
+    node = World.line(2, initial_credit=0).nodes[0]
+    node._credit(1, FORWARDED)
+    assert node.credits[1] == 1
+    node2 = World.line(2, initial_credit=0, punish_delta=2).nodes[0]
+    node2._credit(1, MISBEHAVED)
+    assert node2.credits[1] == -2
 
 
 def test_credit_matches_event_log_count(line5):
@@ -239,7 +237,8 @@ def test_credit_matches_event_log_count(line5):
     logged = sum(1 for node, kind, d in line5.events
                  if node == 1 and kind == "credit" and d["neighbor"] == 0
                  and d["event"] == FORWARDED)
-    assert line5.nodes[1].ntt.get(0) == line5.config.initial_credit + logged
+    assert (line5.nodes[1].credits.get(0, line5.config.initial_credit)
+            == line5.config.initial_credit + logged)
     assert logged == 3
 
 
@@ -275,7 +274,8 @@ def packet(route, src=0, dst=4, seq=0):
 
 def test_forward_data_midroute(line5):
     assert line5.nodes[2].forward_data(packet([1, 2, 3]), 1, 0.0) == 3
-    assert line5.nodes[2].ntt.get(1) == 1   # prev hop credited
+    # prev hop credited
+    assert line5.nodes[2].credits.get(1, line5.config.initial_credit) == 1
 
 
 def test_forward_data_delivery(line5):
@@ -289,7 +289,7 @@ def test_forward_data_link_break(line5):
     # a drop names no next hop, only its reason
     assert line5.nodes[2].forward_data(packet([3], src=2), None,
                                        0.0) == LINK_BREAK
-    assert not line5.nodes[2].has_route(4)
+    assert 4 not in line5.nodes[2].routes
 
 
 # -- baseline ---------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_baseline_has_no_trust_table():
     base = World.line(3, mode="baseline")
     out = base.discover(0, 2, [1])
     assert out["route"] == [1]
-    assert base.nodes[2].ntt.credits == {}
+    assert base.nodes[2].credits == {}
 
 
 def test_both_protocols_drop_tampered_rreq():
@@ -352,7 +352,7 @@ def test_both_protocols_drop_tampered_rreq():
 
 
 def test_selective_verification_equivalence():
-    # under every policy the accepted routes agree when nobody misbehaves;
+    # under every protocol the accepted routes agree when nobody misbehaves;
     # only LARARP without full verification skips the vetted hops
     for mode, flag, dest_checks in (("lararp", False, 0), ("lararp", True, 4),
                                     ("baseline", False, 4),
@@ -364,6 +364,6 @@ def test_selective_verification_equivalence():
 
 
 def test_unknown_protocol_is_rejected_at_the_node():
-    # a name outside the policy table must not run as some hybrid
+    # a name outside PROTOCOLS must not run as some hybrid
     with pytest.raises(ValueError, match="dsr"):
         World.line(2, mode="dsr")

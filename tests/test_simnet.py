@@ -104,6 +104,12 @@ def test_scenario_parse_bad_value_names_key():
     assert "node_count" in str(exc.value)
 
 
+def test_scenario_parse_rejects_a_line_without_a_value():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("node_count = 40\nsim_time\n")
+    assert "line 2: expected key=value" in str(exc.value)
+
+
 def test_scenario_parse_rejects_unknown_tamper_field():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario("tamper_field = bogus\n")
@@ -117,6 +123,8 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     ("replay_delay", "nan"), ("sim_time", "nan"),
     ("sim_time", "inf"), ("flow_rate", "inf"), ("flood_rate", "inf"),
     ("area_width", "inf"), ("flow_rate", "1e9"), ("mobility_tick", "1e-9"),
+    ("packet_size", 0), ("flow_count", 0), ("chain_length", 0),
+    ("rreq_retries", -1), ("full_verification", "yes"),
     pytest.param("flood_rate",
                  "1e9\nattacker_kind = controlflood\nattacker_count = 1",
                  id="flood_rate-1e9-controlflood"),
@@ -617,7 +625,7 @@ def test_a_control_handler_sends_one_message_or_drops(monkeypatch, kind,
             if real.__name__ == "handle_rrep_at_source":
                 assert result.send is None
                 assert (result.drop is not None
-                        or self.has_route(message.dest_id))
+                        or message.dest_id in self.routes)
             else:
                 assert (result.send is None) != (result.drop is None)
             outcomes.add((real.__name__, result.drop is None))
@@ -633,6 +641,19 @@ def test_a_control_handler_sends_one_message_or_drops(monkeypatch, kind,
                               protocol=protocol)).run()
     # every handler sent or accepted, and some handler dropped
     assert {(name, True) for name in names} < outcomes
+
+
+def test_unicast_out_of_range_is_lost_at_send():
+    # a unicast to a node out of range logs one loss and puts nothing on
+    # the air
+    sim = Simulation(static_pair(500.0), keep_log=True)
+    rreq = sim.nodes[0].new_rreq(1, sim.rng_protocol)
+    heap = list(sim._heap)
+    del sim.records[:]
+    sim._unicast(0, 1, rreq, 0.01)
+    assert [(r.node, r.kind, r.details) for r in sim.records] == [
+        (0, "control-lost", {"msg": "rreq"})]
+    assert sim._heap == heap
 
 
 @pytest.mark.parametrize("x,logged", [(100.0, "drop"),
@@ -666,7 +687,7 @@ def test_origination_on_a_valid_route_finds_an_empty_buffer(
     real_originate = Simulation._originate
 
     def originate(self, src, packet, now):
-        if self.nodes[src].has_route(packet.dest_id):
+        if packet.dest_id in self.nodes[src].routes:
             assert not self.buffers[src].get(packet.dest_id)
             originated.append(packet)
         return real_originate(self, src, packet, now)
@@ -800,7 +821,7 @@ def test_a_data_hop_calls_no_node_logger_without_a_log(monkeypatch):
         if prev_hop is None:
             assert added == []
         else:
-            cc = self.ntt.get(prev_hop)
+            cc = self.credits.get(prev_hop, self.config.initial_credit)
             assert added == [(self.id, "credit", {
                 "neighbor": prev_hop, "event": "forwarded", "cc": cc})]
             forwards.append(prev_hop)
