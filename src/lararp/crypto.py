@@ -2,15 +2,17 @@
 
 All primitives produce 16-byte outputs. The one-way function is BLAKE2s
 truncated to 128 bits with a personalization label, so the chain-step
-function and the public-verifier function are distinct: revealing a chain
-secret never discloses the next verifier's preimage.
+function and the public-verifier function are distinct. Secret i+1 is the
+chain step of secret i, and a chain reveals from its last index down
+(Lamport, CACM 1981), so a revealed secret gives away only secrets already
+spent, never the one its chain reveals next.
 
-Chain elements are hashed on first use. Only a node that originates route
-requests ever reveals a secret, and then only the next few, so a chain
-stores its seed and length and derives secret i (and its public verifier)
-when something asks for it. Every index in range(length) stays derivable,
-because a tampered request can name a verifier index that its source never
-revealed, and the check must still compare against the true verifier.
+Chain elements are hashed on first use: the first reveal hashes the chain
+from its seed and keeps every secret, and a verifier is hashed from its
+secret when something asks for it. Every index in range(length) stays
+derivable, because a tampered request can name a verifier index that its
+source never revealed, and the check must still compare against the true
+verifier.
 """
 
 import hashlib
@@ -58,8 +60,8 @@ class KeyChain:
     ``secrets`` and ``publics`` are read-only sequences of the chain's
     length. Secrets are hash-chained from the seed in order, up to the
     highest index asked for; a verifier is hashed from its secret the first
-    time it is read. Both are memoised, and neither memo is sized by the
-    chain length."""
+    time it is read. Both are memoised, so the secrets memo holds the whole
+    chain once the first secret is revealed."""
 
     def __init__(self, owner: int, seed: bytes, length: int):
         self.owner = owner
@@ -97,10 +99,10 @@ def generate_keychain(seed: bytes, n: int, owner: int = 0) -> KeyChain:
 
 
 def reveal_next(chain: KeyChain) -> tuple[int, bytes]:
-    """Consume and return the next unrevealed (index, secret) pair."""
+    """Consume and return the unrevealed (index, secret) of highest index."""
     if chain.next_index >= len(chain.secrets):
         raise ChainExhausted(f"chain of node {chain.owner} exhausted")
-    i = chain.next_index
+    i = len(chain.secrets) - 1 - chain.next_index
     chain.next_index += 1
     return i, chain.secrets[i]
 

@@ -110,12 +110,11 @@ class NodeState:
         self.log = log
         self.credits: dict[int, int] = {}          # neighbour -> CC
         self.routes: dict[int, list[int]] = {}     # dest -> valid route
-        self.seen_requests: set[tuple[int, bytes]] = set()
-        # revealed chain element (index, secret) -> the request id it was
-        # accepted under: an element serves one request (Ariadne's rule). A
-        # secret verifies under one source's chain only, so it names the
-        # source, and a rolled-over chain's elements are new ones
-        self.revealed: dict[tuple[int, bytes], bytes] = {}
+        # source -> (its verifier list, chain index, request id) of the
+        # newest request accepted from it; a chain reveals from its last
+        # index down, so a newer request has a lower index, and the list
+        # names the chain's generation, which a rollover replaces
+        self.latest: dict[int, tuple[object, int, bytes]] = {}
         self.pending: dict[int, PendingRequest] = {}
         # Instrumentation: how many per-hop tag checks this node performed.
         self.hop_tag_checks = 0
@@ -142,8 +141,7 @@ class NodeState:
     def _credit(self, neighbor: int, event: str):
         """The one writer of credits: reward a FORWARDED with +1, punish a
         MISBEHAVED with -punish_delta. Ids outside the network (a tampered
-        node_list can name them, and None is no hop at all) have no credit
-        to reward or punish."""
+        node_list can name them) have no credit to reward or punish."""
         if not self.keeps_credit or neighbor not in self.publics:
             return
         cc = self.credits.get(neighbor, self.config.initial_credit)
@@ -191,27 +189,29 @@ class NodeState:
         return rreq
 
     def _accept(self, rreq: Rreq):
-        """Mark rreq seen and bind its chain element to its request id."""
-        self.seen_requests.add((rreq.source_id, rreq.request_id))
-        self.revealed[rreq.verifier] = rreq.request_id
+        """Record rreq as the newest request accepted from its source."""
+        self.latest[rreq.source_id] = (self.publics[rreq.source_id],
+                                       rreq.verifier[0], rreq.request_id)
 
     def _admit(self, rreq: Rreq) -> HandlerResult | None:
-        """The shared drop for a well-formed RREQ every receiver must refuse
-        (already seen, unknown source, bad verifier, or a verifier already
-        accepted under another request id), or None. Only _accept binds an
-        element, once a handler's checks pass, so a copy that merely arrives
-        first binds nothing. The radio makes the first test itself for every
-        receiver in range but a replay attacker, so in a run a duplicate
-        reaches a handler only there; a test harness that plays the radio
-        may hand one in too."""
-        if (rreq.source_id, rreq.request_id) in self.seen_requests:
-            return DROPPED[DUPLICATE]
-        if rreq.source_id not in self.publics:
+        """The shared drop for a well-formed RREQ every receiver must refuse,
+        or None. Under the source's current chain, an index above its latest
+        record, or that request again, is a duplicate, and that index under
+        another request id a bad verifier (Ariadne's rule); any other element
+        must verify. Only _accept records, once a handler's checks pass. The
+        radio makes the duplicate test itself at every receiver in range but
+        a replay attacker, so in a run a duplicate reaches a handler only
+        there; a test harness that plays the radio may hand one in."""
+        publics = self.publics.get(rreq.source_id)
+        if publics is None:
             return DROPPED[MALFORMED]
-        if not verify_reveal(self.publics[rreq.source_id], *rreq.verifier):
+        latest = self.latest.get(rreq.source_id)
+        index = rreq.verifier[0]
+        if latest is not None and latest[0] is publics and index >= latest[1]:
+            if index > latest[1] or rreq.request_id == latest[2]:
+                return DROPPED[DUPLICATE]
             return DROPPED[BAD_VERIFIER]
-        if self.revealed.get(rreq.verifier,
-                             rreq.request_id) != rreq.request_id:
+        if not verify_reveal(publics, *rreq.verifier):
             return DROPPED[BAD_VERIFIER]
         return None
 
@@ -395,7 +395,8 @@ class NodeState:
         hop: return the next hop id, None when it is delivered here, or the
         drop reason. A next hop out of range is a LINK_BREAK, which also
         invalidates this node's own route to the destination."""
-        self._credit(prev_hop, FORWARDED)
+        if prev_hop is not None:
+            self._credit(prev_hop, FORWARDED)
         if self.id == packet.dest_id:
             return None
         route = packet.route

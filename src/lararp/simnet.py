@@ -16,9 +16,9 @@ without a handler call. That verdict holds for every receiver because they
 all get the same object and nothing changes a message once it is on the
 air. Every receiver is in range when a message is sent, and an arrival
 re-tests the range only if a node has moved since. A receiver in range
-drops a valid request it has already seen at the radio, with one set
-lookup and no handler call, so no duplicate reaches a handler except at a
-replay attacker, whose shim captures every copy it is handed. _hop settles
+drops a duplicate request at the radio, with one lookup of its record of
+the source and no handler call, so no duplicate reaches a handler except at
+a replay attacker, whose shim captures every copy it is handed. _hop settles
 a data hop, at an arrival or at the source: it logs a loss, a delivery or a
 drop, reports a relay's link break to the source at once, and lets a black
 or gray hole drop what it would forward. _arrival settles a control
@@ -72,6 +72,11 @@ MAX_TIMER_EVENTS = 10_000_000
 # demos, the default sweeps and the benchmark workloads has 1,000 nodes,
 # 100 times fewer.
 MAX_NODES = 100_000
+
+# The longest key chain a config may ask for: a first reveal hashes and keeps
+# a whole chain, about 57 B a secret. Not a knob: 16 times the longest in the
+# tests, the demos, the default sweeps and the benchmark workloads (256).
+MAX_CHAIN_LENGTH = 4_096
 
 
 @dataclass
@@ -132,8 +137,9 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.flow_count < 1:
             raise ScenarioError("flow_count must be at least 1")
-        if self.chain_length < 1:
-            raise ScenarioError("chain_length must be at least 1")
+        if not 1 <= self.chain_length <= MAX_CHAIN_LENGTH:
+            raise ScenarioError(
+                f"chain_length must be in [1, {MAX_CHAIN_LENGTH:,}]")
         if self.rreq_retries < 0:
             raise ScenarioError("rreq_retries must be nonnegative")
         nodes = range(self.node_count)
@@ -338,14 +344,14 @@ class Simulation:
         master = self.rng_setup.randbytes(crypto.SECRET_LEN)
         node_ids = list(range(config.node_count))
         shared_keys = crypto.SharedKeyTable.derive(master, node_ids)
-        publics: dict[int, Sequence[bytes]] = {}
+        self.publics: dict[int, Sequence[bytes]] = {}
         self.nodes: dict[int, NodeState] = {}
         for i in node_ids:
             chain = crypto.generate_keychain(self.rng_setup.randbytes(16),
                                              config.chain_length, owner=i)
-            publics[i] = chain.publics
+            self.publics[i] = chain.publics
             self.nodes[i] = NodeState(
-                i, chain, shared_keys, publics, config,
+                i, chain, shared_keys, self.publics, config,
                 in_range_fn=self.mobility.in_range,
                 log=self._node_logger(i))
 
@@ -516,7 +522,7 @@ class Simulation:
 
     def _unicast(self, sender: int, receiver: int, message, now: float):
         if not self.mobility.in_range(sender, receiver):
-            self._emit(self.now, sender, "control-lost",
+            self._emit(now, sender, "control-lost",
                        msg=_MSG_KIND[type(message)])
             return
         self._send(sender, (receiver,), message, now)
@@ -526,28 +532,33 @@ class Simulation:
     def _transmission(self, sender: int, receivers, message, rows,
                       now: float):
         """Hand one control transmission to each receiver in turn. A
-        receiver in range that has already seen a valid request drops it
-        here as a duplicate, without a handler call: the handler's first
-        test would drop it and do nothing else, and an attacker's shim would
-        pass that drop through unchanged. Only a replay attacker still gets
-        every copy, since its shim captures what it is handed."""
+        receiver in range whose record shows a valid request to be a
+        duplicate drops it here, without a handler call: _admit would drop
+        it and do nothing else, and an attacker's shim would pass that drop
+        through unchanged. Only a replay attacker still gets every copy,
+        since its shim captures what it is handed."""
         valid = wellformed(message)
         # positions change only where the rows are dropped, so while the
         # send's rows are current every receiver is still in range
         still = rows is not None and rows is self.mobility._nbr_cache
         request = None
-        if valid and type(message) is Rreq:
-            request = (message.source_id, message.request_id)
+        if valid and type(message) is Rreq:    # the record it would leave
+            source = message.source_id
+            request = (self.publics.get(source), message.verifier[0],
+                       message.request_id)
         nodes, replayers = self.nodes, self._replayers
         duplicates = 0
         for receiver in receivers:
-            # tested at the receiver's own turn, against the seen set its
-            # handler would test; a handler changes no other node's set.
-            # The range is tested last and only after a move, so an unseen
-            # request never pays for it; a copy out of range goes on to
-            # _arrival, which logs it lost
+            # tested at the receiver's own turn, against the record its
+            # handler would test, which no other handler changes; an older
+            # request of the same chain has a higher index. The range is
+            # tested last and only after a move, so a fresh request never
+            # pays for it; _arrival logs a copy out of range lost
             if (request is not None
-                    and request in nodes[receiver].seen_requests
+                    and ((latest := nodes[receiver].latest.get(source))
+                         == request
+                         or latest is not None and latest[0] is request[0]
+                         and latest[1] < request[1])
                     and receiver not in replayers
                     and (still or self.mobility.in_range(sender, receiver))):
                 duplicates += 1

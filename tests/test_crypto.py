@@ -8,6 +8,7 @@ from lararp import crypto
 from lararp.crypto import (ChainExhausted, SharedKeyTable, compute_tag,
                            generate_keychain, owf, reveal_next, verify_reveal,
                            verify_tag)
+from lararp.simnet import MAX_CHAIN_LENGTH
 
 SEED = b"\x01" * 16
 
@@ -60,9 +61,24 @@ def test_lazy_chain_matches_eager_oracle(n, order):
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 getattr(chain, attr)[i]
-    # a chain walked by reveals hands out the oracle's secrets in order
+    # a chain walked by reveals hands out the oracle's secrets from the
+    # last down
     chain = generate_keychain(SEED, n)
-    assert [reveal_next(chain) for _ in range(n)] == list(enumerate(secrets))
+    assert ([reveal_next(chain) for _ in range(n)]
+            == list(enumerate(secrets))[::-1])
+
+
+@pytest.mark.parametrize("n", [2, 7, 256])
+def test_a_reveal_gives_away_nothing_ahead(n):
+    # secret i+1 is the chain step of secret i; revealed from the last
+    # index down, a secret's step is a spent secret, never the one its
+    # chain reveals next
+    chain = generate_keychain(SEED, n)
+    for _ in range(n - 1):
+        _, secret = reveal_next(chain)
+        upcoming, _ = reveal_next(copy.deepcopy(chain))
+        assert not verify_reveal(chain.publics, upcoming,
+                                 owf(b"chain", secret))
 
 
 def test_unrevealed_index_verifies_only_with_its_true_secret():
@@ -83,31 +99,35 @@ def test_rollover_chain_matches_oracle():
     seed = copy.deepcopy(world.rng).randbytes(16)
     rreq = node.new_rreq(2, world.rng)
     secrets, publics = eager_chain(seed, 5)
-    assert rreq.verifier == (0, secrets[0])
+    assert rreq.verifier == (4, secrets[4])
     assert world.publics[0] is node.keychain.publics
     assert verify_reveal(world.publics[0], *rreq.verifier)
     assert list(world.publics[0]) == publics
 
 
 def test_huge_chain_is_built_at_once(monkeypatch):
-    # an eager build would hash 2 * 10**12 elements: fail at the 17th hash
+    # the longest chain a scenario may ask for: the build hashes nothing,
+    # and the first reveal hashes the chain once, from the seed to its last
+    # secret; later reveals and reads of secrets hash nothing more
     real_owf = crypto.owf
     calls = []
 
-    def bounded_owf(label, data):
+    def counting_owf(label, data):
         calls.append(label)
-        assert len(calls) <= 16, "key chain hashed eagerly"
         return real_owf(label, data)
 
-    monkeypatch.setattr(crypto, "owf", bounded_owf)
-    chain = generate_keychain(SEED, 10**12)
+    monkeypatch.setattr(crypto, "owf", counting_owf)
+    n = MAX_CHAIN_LENGTH
+    chain = generate_keychain(SEED, n)
     assert calls == []
-    assert len(chain.secrets) == len(chain.publics) == 10**12
-    assert chain.remaining() == 10**12
+    assert len(chain.secrets) == len(chain.publics) == n
+    assert chain.remaining() == n
+    revealed = [reveal_next(chain) for _ in range(3)]
     secrets, publics = eager_chain(SEED, 3)
     assert chain.secrets[2] == secrets[2]
+    assert calls == [b"chain"] * n
     assert chain.publics[1] == publics[1]
-    assert verify_reveal(chain.publics, *reveal_next(chain))
+    assert all(verify_reveal(chain.publics, *r) for r in revealed)
 
 
 def test_no_public_collisions_across_chains():
@@ -121,9 +141,9 @@ def test_no_public_collisions_across_chains():
 
 def test_reveal_order_and_exhaustion():
     chain = generate_keychain(SEED, 3)
-    assert reveal_next(chain)[0] == 0
-    assert reveal_next(chain)[0] == 1
     assert reveal_next(chain)[0] == 2
+    assert reveal_next(chain)[0] == 1
+    assert reveal_next(chain)[0] == 0
     with pytest.raises(ChainExhausted):
         reveal_next(chain)
 

@@ -20,7 +20,7 @@ DEMO_STDOUT = {
     "mobility_and_pause_time.py":
         "3e4e43e1275bfbb28f5e3b6fed23ae0c1516b00b37063eee4f07643c19fbdb33",
     "route_discovery_walkthrough.py":
-        "07ef11543722e97e5afe16cc8ae21d81cd62529e58d3a88008fd81ef39beaf14",
+        "5eb2a217c0f875efa4b99ae074225b1ab58e5c380f5b951f027482c30675ab32",
     "sweep_to_csv.py":
         "2f2211566825c36bddb5bdcc289fa2c41593e18f69ddc23dbb1213ba661e843b",
 }

@@ -83,7 +83,8 @@ def test_tampered_verifier_dropped_at_first_honest_hop():
 def test_a_chain_element_serves_one_request_id():
     # Ariadne's rule: once a node accepts a request, a copy that reveals the
     # same chain element under another request id is a bad verifier, at a
-    # forwarder and at the source; a rolled-over chain's elements are new
+    # forwarder and at the source; a rolled-over chain's elements are new,
+    # and it restarts at its own top index
     world = World.line(3)
     source = world.nodes[0]
     rreq = source.initiate_route_discovery(2, 0.0, world.rng)
@@ -94,8 +95,40 @@ def test_a_chain_element_serves_one_request_id():
     assert source.handle_rreq(forged, 1, 0.0).drop == BAD_VERIFIER
     source.keychain.next_index = len(source.keychain.secrets)
     renewed = source.new_rreq(2, world.rng)
-    assert renewed.verifier[0] == rreq.verifier[0]
+    assert renewed.verifier[0] == world.config.chain_length - 1
     assert world.nodes[1].handle_rreq(renewed, 0, 0.0).drop is None
+
+
+def test_a_spent_element_under_a_fresh_id_is_a_duplicate():
+    # a chain reveals from its last index down, so a node that accepted a
+    # source's second request holds the first request's element as spent:
+    # the first request, late, and its element under a fresh id are both
+    # duplicates there
+    world = World.line(3)
+    source, relay = world.nodes[0], world.nodes[1]
+    first = source.new_rreq(2, world.rng)
+    second = source.new_rreq(2, world.rng)
+    assert relay.handle_rreq(second, 0, 0.0).drop is None
+    respent = copy.deepcopy(first)
+    respent.request_id = world.rng.randbytes(len(first.request_id))
+    assert relay.handle_rreq(respent, 0, 0.0).drop == DUPLICATE
+    assert relay.handle_rreq(first, 0, 0.0).drop == DUPLICATE
+
+
+@pytest.mark.parametrize("chain_length", [1, 2, 256])
+def test_a_node_keeps_one_record_per_source_across_rollovers(chain_length):
+    # many discoveries from one source leave one record at a relay, and a
+    # record of an old chain does not hold back a rolled-over one, whose
+    # first index is the same (a 1-element chain) or higher than the last
+    # one accepted
+    world = World.line(3, chain_length=chain_length)
+    source, relay = world.nodes[0], world.nodes[1]
+    for _ in range(len(source.keychain.secrets) + 2 * chain_length + 1):
+        rreq = source.new_rreq(2, world.rng)
+        assert relay.handle_rreq(rreq, 0, 0.0).drop is None
+    assert any(kind == "key-rollover" for _, kind, _ in world.events)
+    assert relay.latest == {0: (world.publics[0], rreq.verifier[0],
+                                rreq.request_id)}
 
 
 # -- destination pipeline ---------------------------------------------------

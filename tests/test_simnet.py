@@ -15,8 +15,9 @@ from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rreq, wellformed
 from lararp.metrics import fold
 from lararp.protocol import DROPPED, DUPLICATE, NodeState
-from lararp.simnet import (MobilityState, ScenarioConfig, ScenarioError,
-                           Simulation, parse_scenario, run, step_mobility)
+from lararp.simnet import (MAX_CHAIN_LENGTH, MobilityState, ScenarioConfig,
+                           ScenarioError, Simulation, parse_scenario, run,
+                           step_mobility)
 
 PER_HOP_DELAY = 512 * 8 / 2_000_000 + 0.001    # serialization + processing
 
@@ -124,6 +125,7 @@ def test_scenario_parse_rejects_unknown_tamper_field():
     ("sim_time", "inf"), ("flow_rate", "inf"), ("flood_rate", "inf"),
     ("area_width", "inf"), ("flow_rate", "1e9"), ("mobility_tick", "1e-9"),
     ("packet_size", 0), ("flow_count", 0), ("chain_length", 0),
+    ("chain_length", MAX_CHAIN_LENGTH + 1),
     ("rreq_retries", -1), ("full_verification", "yes"),
     pytest.param("flood_rate",
                  "1e9\nattacker_kind = controlflood\nattacker_count = 1",
@@ -153,7 +155,8 @@ def test_scenario_parse_rejects_unusable_value(key, value):
     # instant retries that each flood every node, nor 10,000 flood requests
     # a second that every node forwards, and an infinite area places nodes
     # at infinity; a billion nodes fit the timer budget at a tiny sim_time
-    # but set-up alone would need terabytes. Only the parser runs here
+    # but set-up alone would need terabytes, and a source's first reveal
+    # hashes its whole key chain. Only the parser runs here
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"attacker_count = 0\n{key} = {value}\n")
     assert key in str(exc.value)
@@ -299,7 +302,7 @@ def oracle_neighbors(mob, i, r):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(placements(), st.sampled_from([0.0, 0.25, 100.0]),
        st.integers(0, 2 ** 16))
 @example((250.0, [(0.0, 0.0), (250.0, 0.0), (150.0, 200.0), (0.0, 0.0)]),
@@ -644,15 +647,15 @@ def test_a_control_handler_sends_one_message_or_drops(monkeypatch, kind,
 
 
 def test_unicast_out_of_range_is_lost_at_send():
-    # a unicast to a node out of range logs one loss and puts nothing on
-    # the air
+    # a unicast to a node out of range logs one loss at the send time it
+    # is given and puts nothing on the air
     sim = Simulation(static_pair(500.0), keep_log=True)
     rreq = sim.nodes[0].new_rreq(1, sim.rng_protocol)
     heap = list(sim._heap)
     del sim.records[:]
     sim._unicast(0, 1, rreq, 0.01)
-    assert [(r.node, r.kind, r.details) for r in sim.records] == [
-        (0, "control-lost", {"msg": "rreq"})]
+    assert [(r.time, r.node, r.kind, r.details) for r in sim.records] == [
+        (0.01, 0, "control-lost", {"msg": "rreq"})]
     assert sim._heap == heap
 
 
@@ -667,13 +670,49 @@ def test_seen_request_after_a_move_is_range_tested_at_the_radio(
                         lambda *args: calls.append(args))
     sim = Simulation(static_pair(100.0), keep_log=True)
     rreq = sim.nodes[0].new_rreq(1, sim.rng_protocol)
-    sim.nodes[1].seen_requests.add((0, rreq.request_id))
+    sim.nodes[1]._accept(rreq)
     sim.mobility.x[1] = x
     sim.mobility._nbr_cache = None
     del sim.records[:]
     sim._transmission(0, (1,), rreq, None, 0.01)
     assert [r.kind for r in sim.records] == [logged]
     assert calls == []
+
+
+@pytest.mark.parametrize("case,duplicate", [
+    ("again", True), ("older", True), ("respent", True), ("newer", False),
+    ("rolled-over", False)])
+def test_radio_tests_the_record_as_admit_does(monkeypatch, case, duplicate):
+    # a receiver that accepted a source's request drops at the radio that
+    # request again, an older one, and an older element under a fresh id,
+    # all without a handler call; a newer request goes on to the handler,
+    # and so does a rolled-over chain's first one, at its higher index
+    calls = []
+    real = NodeState.handle_rreq_at_destination
+    monkeypatch.setattr(NodeState, "handle_rreq_at_destination",
+                        lambda *args: calls.append(args) or real(*args))
+    sim = Simulation(static_pair(100.0), keep_log=True)
+    source, receiver = sim.nodes[0], sim.nodes[1]
+    older = source.new_rreq(1, sim.rng_protocol)
+    accepted = source.new_rreq(1, sim.rng_protocol)
+    receiver._accept(accepted)
+    if case == "rolled-over":
+        source.keychain.next_index = len(source.keychain.secrets)
+    if case == "again":
+        sent = accepted
+    elif case == "older":
+        sent = older
+    elif case == "respent":
+        sent = copy.deepcopy(older)
+        sent.request_id = bytes(len(older.request_id))
+    else:
+        sent = source.new_rreq(1, sim.rng_protocol)
+    assert (receiver._admit(sent) is DROPPED[DUPLICATE]) == duplicate
+    del sim.records[:]
+    sim._transmission(0, (1,), sent, None, 0.01)
+    assert (calls == []) == duplicate
+    assert [r.details for r in sim.records if r.kind == "drop"] == (
+        [{"msg": "rreq", "reason": DUPLICATE}] if duplicate else [])
 
 
 @PROTOCOLS
