@@ -2,7 +2,9 @@
 
 The simulator keeps its own live MetricsCollector; fold recomputes every
 metric from (possibly re-parsed) log records so the two paths can be
-checked against each other exactly.
+checked against each other exactly. The engine counts a data packet's send
+and delivery on the collector itself, so observe folds those two kinds only
+for fold.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +42,8 @@ class MetricsCollector:
 
     def observe(self, kind: str, details: dict):
         """Fold one record, given as its kind and details. The radio folds
-        its duplicate drops in count_drops, so no kind leads every run."""
+        its duplicate drops in count_drops, and the engine counts data-sent
+        and data-delivered in place, so those reach here only from fold."""
         if kind == "drop":
             reason = details["reason"]
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1

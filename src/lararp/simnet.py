@@ -25,7 +25,9 @@ or gray hole drop what it would forward. _arrival settles a control
 handler's result: it logs a drop, or sends the one message, or, at a source
 that accepted a route, sends the packets buffered for it. Node records
 (credits, route changes) are built, and a data hop calls a node's logger,
-only when a log is kept: the live metrics fold none of them.
+only when a log is kept: the live metrics fold none of them. So are a data
+packet's send and delivery records, which the engine counts in place; every
+other engine record goes through _emit, which folds it live.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -458,8 +460,10 @@ class Simulation:
                             payload_size=cfg.packet_size, route=[],
                             created_at=now)
         flow.next_seq += 1
-        self._emit(now, flow.src, "data-sent", flow=flow.index,
-                   seq=packet.seq, dst=flow.dst)
+        self.collector.data_sent += 1
+        if self.keep_log:
+            self.records.append(Record(now, flow.src, "data-sent", {
+                "flow": flow.index, "seq": packet.seq, "dst": flow.dst}))
         self._originate(flow.src, packet, now)
         self._push(now + 1.0 / cfg.flow_rate, self._flow_tick, flow)
 
@@ -500,10 +504,13 @@ class Simulation:
         receiver is in range now: a broadcast names the sender's row, a data
         packet goes to a hop that forward_data found in range, and a control
         unicast passed in_range. The event keeps the neighbour rows current
-        now, so the arrival knows whether any node moved since."""
-        event = self._hop
-        if type(message) is not DataPacket:
-            event = self._transmission
+        now, so the arrival knows whether any node moved since. Airtime is
+        the size on the channel: a data packet's payload_size, which is what
+        wire_size gives for it, and wire_size of a control message."""
+        if type(message) is DataPacket:
+            event, size = self._hop, message.payload_size
+        else:
+            event, size = self._transmission, wire_size(message)
             self._emit(self.now, sender, "control-send",
                        msg=_MSG_KIND[type(message)],
                        src=message.source_id, dst=message.dest_id)
@@ -512,7 +519,7 @@ class Simulation:
         if attacker is not None:
             delay = attacker.processing_delay(delay)
         heapq.heappush(self._heap, (
-            now + wire_size(message) * 8.0 / self.config.bandwidth + delay,
+            now + size * 8.0 / self.config.bandwidth + delay,
             self._ordinal, event, (sender, to, message,
                                    self.mobility._nbr_cache)))
         self._ordinal += 1
@@ -647,8 +654,12 @@ class Simulation:
         node = self.nodes[node_id]
         hop = node.forward_data(packet, prev_hop, now)
         if hop is None:
-            self._emit(now, node_id, "data-delivered", flow=packet.flow_id,
-                       seq=packet.seq, delay=now - packet.created_at)
+            delay = now - packet.created_at
+            self.collector.data_delivered += 1
+            self.collector.delay_sum += delay
+            if self.keep_log:
+                self.records.append(Record(now, node_id, "data-delivered", {
+                    "flow": packet.flow_id, "seq": packet.seq, "delay": delay}))
         elif type(hop) is str:
             self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
                        seq=packet.seq, reason=hop)

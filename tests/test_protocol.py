@@ -315,6 +315,11 @@ def test_forward_data_delivery(line5):
     assert line5.nodes[4].forward_data(packet([1, 2, 3]), 3, 0.0) is None
 
 
+def test_forward_data_not_in_route(line5):
+    # node 2 is neither an endpoint nor on the packet's route
+    assert line5.nodes[2].forward_data(packet([1, 3]), 1, 0.0) == NOT_IN_ROUTE
+
+
 def test_forward_data_link_break(line5):
     out = line5.discover(2, 4, [3])
     assert out["route"] == [3]

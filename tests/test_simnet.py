@@ -9,11 +9,11 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lararp import crypto, protocol
+from lararp import crypto, protocol, simnet
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rreq, wellformed
-from lararp.metrics import fold
+from lararp.metrics import MetricsCollector, fold
 from lararp.protocol import DROPPED, DUPLICATE, NodeState
 from lararp.simnet import (MAX_CHAIN_LENGTH, MobilityState, ScenarioConfig,
                            ScenarioError, Simulation, parse_scenario, run,
@@ -869,6 +869,36 @@ def test_a_data_hop_calls_no_node_logger_without_a_log(monkeypatch):
     monkeypatch.setattr(NodeState, "forward_data", forward_data)
     report = sim.run()
     assert len(forwards) == 3 * report.data_delivered
+
+
+def test_a_data_packet_is_counted_and_sized_in_place(monkeypatch):
+    # the engine counts a packet's send and delivery itself and sizes it by
+    # its payload, so neither record kind reaches observe and no packet
+    # reaches wire_size; with a log, fold of the records still agrees
+    kinds, types = [], []
+    real_observe, real_wire_size = MetricsCollector.observe, simnet.wire_size
+
+    def observe(self, kind, details):
+        kinds.append(kind)
+        real_observe(self, kind, details)
+
+    def wire_size(message):
+        types.append(type(message))
+        return real_wire_size(message)
+
+    monkeypatch.setattr(MetricsCollector, "observe", observe)
+    monkeypatch.setattr(simnet, "wire_size", wire_size)
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(i * 200.0, 0.0) for i in range(4)],
+                         flows=[(0, 3)], flow_count=1, pause_time=100.0,
+                         sim_time=5.0)
+    report, _ = run(cfg)
+    assert report.data_sent > 0 and report.pdr == 1.0
+    assert "data-sent" not in kinds and "data-delivered" not in kinds
+    assert types and DataPacket not in types
+
+    logged, records = run(cfg, keep_log=True)
+    assert logged == report == fold(records)
 
 
 @PROTOCOLS
