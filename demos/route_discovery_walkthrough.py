@@ -17,12 +17,11 @@ def build_line(n):
                  for i in range(n)}
     shared = SharedKeyTable.derive(b"\x42" * 16, range(n))
     config = ProtocolConfig()
-    publics = {}
+    chains = {}
     nodes = {}
     for i in range(n):
-        chain = generate_keychain(bytes([i + 1]) * 16, 32, owner=i)
-        publics[i] = chain.publics
-        nodes[i] = NodeState(i, chain, shared, publics, config,
+        chains[i] = generate_keychain(bytes([i + 1]) * 16, 32, owner=i)
+        nodes[i] = NodeState(i, shared, chains, config,
                              in_range_fn=lambda a, b: b in adjacency[a],
                              log=lambda kind, **kw: None)
     return nodes

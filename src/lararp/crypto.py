@@ -1,23 +1,21 @@
 """Key chains, one-way verification tokens, and keyed authentication tags.
 
 All primitives produce 16-byte outputs. The one-way function is BLAKE2s
-truncated to 128 bits with a personalization label, so the chain-step
-function and the public-verifier function are distinct. Secret i+1 is the
-chain step of secret i, and a chain reveals from its last index down
-(Lamport, CACM 1981), so a revealed secret gives away only secrets already
-spent, never the one its chain reveals next.
+truncated to 128 bits with a personalization label. Secret i+1 is the
+chain step of secret i, and the step of the last secret is the chain's
+anchor. A chain reveals from its last index down (Lamport, CACM 1981), so a
+revealed secret gives away only secrets already spent, never the one its
+chain reveals next.
 
-Chain elements are hashed on first use: the first reveal hashes the chain
-from its seed and keeps every secret, and a verifier is hashed from its
-secret when something asks for it. Every index in range(length) stays
-derivable, because a tampered request can name a verifier index that its
-source never revealed, and the check must still compare against the true
-verifier.
+A revealed secret is checked by hashing it forward, as in TESLA and
+Ariadne: to an element of the same chain at a higher index that the
+checker already holds, or else to the anchor. A chain is hashed from its
+seed in full, once, the first time any element or the anchor is read.
 """
 
 import hashlib
 import hmac
-from collections.abc import Sequence
+from functools import cached_property
 
 SECRET_LEN = 16
 TAG_LEN = 16
@@ -35,62 +33,39 @@ def owf(label: bytes, data: bytes) -> bytes:
                            person=label.ljust(8, b"\x00")).digest()
 
 
-class ChainElements(Sequence):
-    """A read-only sequence of ``length`` chain elements; element i is
-    ``element(i)``, which derives it on first use."""
-
-    def __init__(self, length: int, element):
-        self._length = length
-        self._element = element
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, index):
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("chain index out of range")
-        return self._element(index)
-
-
 class KeyChain:
-    """A source's ordered secret list with its hashed public verifier list.
+    """A source's chain of ``length`` secrets, hash-chained from its seed.
 
-    ``secrets`` and ``publics`` are read-only sequences of the chain's
-    length. Secrets are hash-chained from the seed in order, up to the
-    highest index asked for; a verifier is hashed from its secret the first
-    time it is read. Both are memoised, so the secrets memo holds the whole
-    chain once the first secret is revealed."""
+    ``elements`` lists secrets 0 … length−1 and then the anchor, the chain
+    step of the last secret; it is hashed on first read."""
 
     def __init__(self, owner: int, seed: bytes, length: int):
         self.owner = owner
+        self.seed = seed
+        self.length = length
         self.next_index = 0
-        self._hashed = [seed]            # the seed, then secrets 0, 1, ...
-        self._publics: dict[int, bytes] = {}
-        self.secrets = ChainElements(length, self._secret)
-        self.publics = ChainElements(length, self._public)
 
-    def _secret(self, index: int) -> bytes:
-        hashed = self._hashed
-        while len(hashed) <= index + 1:
-            hashed.append(owf(b"chain", hashed[-1]))
-        return hashed[index + 1]
+    @cached_property
+    def elements(self) -> list[bytes]:
+        element, elements = self.seed, []
+        for _ in range(self.length + 1):
+            element = owf(b"chain", element)
+            elements.append(element)
+        return elements
 
-    def _public(self, index: int) -> bytes:
-        public = self._publics.get(index)
-        if public is None:
-            public = self._publics[index] = owf(b"public", self._secret(index))
-        return public
+    @property
+    def anchor(self) -> bytes:
+        return self.elements[self.length]
 
     def remaining(self) -> int:
-        return len(self.secrets) - self.next_index
+        return self.length - self.next_index
 
 
 def generate_keychain(seed: bytes, n: int, owner: int = 0) -> KeyChain:
-    """An n-element chain: secrets are hash-chained from the seed,
-    publics are one-way images of each secret under a separate label.
-    Nothing is hashed until an element is read."""
+    """An n-element chain hash-chained from the seed; nothing is hashed
+    until an element is read. The benchmark's traced run times the key
+    chains' set-up through this entry point, so the simulator builds every
+    chain with it."""
     if n < 1:
         raise ValueError("chain length must be >= 1")
     if len(seed) != SECRET_LEN:
@@ -100,23 +75,27 @@ def generate_keychain(seed: bytes, n: int, owner: int = 0) -> KeyChain:
 
 def reveal_next(chain: KeyChain) -> tuple[int, bytes]:
     """Consume and return the unrevealed (index, secret) of highest index."""
-    if chain.next_index >= len(chain.secrets):
+    if chain.next_index >= chain.length:
         raise ChainExhausted(f"chain of node {chain.owner} exhausted")
-    i = len(chain.secrets) - 1 - chain.next_index
+    i = chain.length - 1 - chain.next_index
     chain.next_index += 1
-    return i, chain.secrets[i]
+    return i, chain.elements[i]
 
 
-def verify_reveal(publics: Sequence[bytes], index: int, secret: bytes) -> bool:
-    """Check a revealed secret against the public verifier list.
+def verify_reveal(chain: KeyChain, index: int, secret: bytes,
+                  held: tuple[int, bytes] | None = None) -> bool:
+    """Check that secret is element index of chain by hashing it forward to
+    held, an (index, secret) of the same chain at a higher index that the
+    caller has verified, or else to (chain.length, chain.anchor).
 
-    Out-of-range indices are a forgery, not a bug: returns False.
+    An index outside [0, held index) is a forgery, not a bug: returns False.
     """
-    if not publics:
-        raise ValueError("empty public verifier list")
-    if not 0 <= index < len(publics):
+    top, target = held if held is not None else (chain.length, chain.anchor)
+    if not 0 <= index < top:
         return False
-    return hmac.compare_digest(owf(b"public", secret), publics[index])
+    for _ in range(top - index):
+        secret = owf(b"chain", secret)
+    return hmac.compare_digest(secret, target)
 
 
 def compute_tag(key: bytes, message: bytes) -> bytes:
@@ -148,6 +127,9 @@ class SharedKeyTable:
 
     @classmethod
     def derive(cls, master: bytes, node_ids) -> "SharedKeyTable":
+        """The table's one constructor in the simulator: the benchmark's
+        traced run times the pairwise keys' set-up through this entry
+        point."""
         return cls(master, node_ids)
 
     def key(self, a: int, b: int) -> bytes:

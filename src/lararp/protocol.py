@@ -93,28 +93,30 @@ class NodeState:
     tags of the whole path. As a destination it checks every hop it has
     not vetted, and under full_verification every hop."""
 
-    def __init__(self, node_id: int, keychain: crypto.KeyChain,
-                 shared_keys: crypto.SharedKeyTable, publics: dict,
-                 config: ProtocolConfig, in_range_fn, log=_noop_log):
+    def __init__(self, node_id: int, shared_keys: crypto.SharedKeyTable,
+                 chains: dict[int, crypto.KeyChain], config: ProtocolConfig,
+                 in_range_fn, log=_noop_log):
         if config.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {config.protocol!r}")
         self.keeps_credit = config.protocol == "lararp"
         self.path_checks = not self.keeps_credit
         self.id = node_id
-        self.keychain = keychain
         self.shared_keys = shared_keys
-        self.publics = publics                  # node id -> public verifier list
+        # node id -> its current key chain, shared by every node; a node
+        # reveals from its own entry, and reads another's only for its
+        # length and anchor
+        self.chains = chains
         self.config = config
         # (a, b) -> whether b is a's neighbour; each hop tests its one link
         self.in_range_fn = in_range_fn
         self.log = log
         self.credits: dict[int, int] = {}          # neighbour -> CC
         self.routes: dict[int, list[int]] = {}     # dest -> valid route
-        # source -> (its verifier list, chain index, request id) of the
+        # source -> (its chain, chain index, request id, secret) of the
         # newest request accepted from it; a chain reveals from its last
-        # index down, so a newer request has a lower index, and the list
-        # names the chain's generation, which a rollover replaces
-        self.latest: dict[int, tuple[object, int, bytes]] = {}
+        # index down, so a newer request has a lower index, and the chain
+        # is the generation, which a rollover replaces
+        self.latest: dict[int, tuple[crypto.KeyChain, int, bytes, bytes]] = {}
         self.pending: dict[int, PendingRequest] = {}
         # Instrumentation: how many per-hop tag checks this node performed.
         self.hop_tag_checks = 0
@@ -142,7 +144,7 @@ class NodeState:
         """The one writer of credits: reward a FORWARDED with +1, punish a
         MISBEHAVED with -punish_delta. Ids outside the network (a tampered
         node_list can name them) have no credit to reward or punish."""
-        if not self.keeps_credit or neighbor not in self.publics:
+        if not self.keeps_credit or neighbor not in self.chains:
             return
         cc = self.credits.get(neighbor, self.config.initial_credit)
         cc = cc + 1 if event == FORWARDED else cc - self.config.punish_delta
@@ -175,43 +177,49 @@ class NodeState:
     def new_rreq(self, dest: int, rng) -> Rreq:
         """Build an RREQ to dest under a fresh request id and mark it seen;
         a spent key chain is rolled over first."""
-        if self.keychain.remaining() == 0:
-            self.keychain = crypto.generate_keychain(
+        chain = self.chains[self.id]
+        if chain.remaining() == 0:
+            chain = self.chains[self.id] = crypto.generate_keychain(
                 rng.randbytes(crypto.SECRET_LEN), self.config.chain_length,
                 owner=self.id)
-            self.publics[self.id] = self.keychain.publics
             self.log("key-rollover")
         request_id = rng.randbytes(messages.REQUEST_ID_LEN)
         rreq = Rreq(source_id=self.id, dest_id=dest, request_id=request_id,
                     source_tag=compute_tag(self.key(dest), request_id),
-                    verifier=reveal_next(self.keychain))
+                    verifier=reveal_next(chain))
         self._accept(rreq)
         return rreq
 
     def _accept(self, rreq: Rreq):
         """Record rreq as the newest request accepted from its source."""
-        self.latest[rreq.source_id] = (self.publics[rreq.source_id],
-                                       rreq.verifier[0], rreq.request_id)
+        index, secret = rreq.verifier
+        self.latest[rreq.source_id] = (self.chains[rreq.source_id], index,
+                                       rreq.request_id, secret)
 
     def _admit(self, rreq: Rreq) -> HandlerResult | None:
         """The shared drop for a well-formed RREQ every receiver must refuse,
         or None. Under the source's current chain, an index above its latest
         record, or that request again, is a duplicate, and that index under
         another request id a bad verifier (Ariadne's rule); any other element
-        must verify. Only _accept records, once a handler's checks pass. The
-        radio makes the duplicate test itself at every receiver in range but
-        a replay attacker, so in a run a duplicate reaches a handler only
+        must hash forward to the recorded one, or with no record of the
+        current chain to its anchor. Only _accept records, once a handler's
+        checks pass, so a recorded element has been verified. The radio
+        makes the duplicate test itself at every receiver in range but a
+        replay attacker, so in a run a duplicate reaches a handler only
         there; a test harness that plays the radio may hand one in."""
-        publics = self.publics.get(rreq.source_id)
-        if publics is None:
+        chain = self.chains.get(rreq.source_id)
+        if chain is None:
             return DROPPED[MALFORMED]
+        index, secret = rreq.verifier
+        held = None
         latest = self.latest.get(rreq.source_id)
-        index = rreq.verifier[0]
-        if latest is not None and latest[0] is publics and index >= latest[1]:
-            if index > latest[1] or rreq.request_id == latest[2]:
-                return DROPPED[DUPLICATE]
-            return DROPPED[BAD_VERIFIER]
-        if not verify_reveal(publics, *rreq.verifier):
+        if latest is not None and latest[0] is chain:
+            if index >= latest[1]:
+                if index > latest[1] or rreq.request_id == latest[2]:
+                    return DROPPED[DUPLICATE]
+                return DROPPED[BAD_VERIFIER]
+            held = latest[1], latest[3]
+        if not verify_reveal(chain, index, secret, held):
             return DROPPED[BAD_VERIFIER]
         return None
 
@@ -227,7 +235,7 @@ class NodeState:
             reason, _ = self._check_hops(rreq, as_dest=False)
             if reason is not None:
                 return DROPPED[reason]
-        if rreq.dest_id not in self.publics:
+        if rreq.dest_id not in self.chains:
             return DROPPED[MALFORMED]
         self._credit(prev_hop, FORWARDED)
         forwarded = Rreq(source_id=rreq.source_id, dest_id=rreq.dest_id,
@@ -278,7 +286,7 @@ class NodeState:
         checks, reason = 0, None
         for k, node in enumerate(rreq.node_list):
             # a node with no key chain is never vetted
-            vetted = (self.keeps_credit and node in self.publics
+            vetted = (self.keeps_credit and node in self.chains
                       and self.credits.get(node, self.config.initial_credit)
                       >= self.config.credit_threshold)
             if vetted and not self.config.full_verification:
@@ -331,7 +339,7 @@ class NodeState:
         if not (self.in_range_fn(self.id, toward_dest)
                 and self.in_range_fn(self.id, toward_src)):
             return DROPPED[NOT_IN_ROUTE]
-        if rrep.dest_id not in self.publics:
+        if rrep.dest_id not in self.chains:
             return DROPPED[MALFORMED]
         reason, charged = self._check_reply(rrep, pos, self.path_checks)
         if reason is not None:

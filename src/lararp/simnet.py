@@ -38,7 +38,6 @@ protocol choice, which makes paired LARARP/baseline runs comparable.
 import heapq
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,9 +74,12 @@ MAX_TIMER_EVENTS = 10_000_000
 # 100 times fewer.
 MAX_NODES = 100_000
 
-# The longest key chain a config may ask for: a first reveal hashes and keeps
-# a whole chain, about 57 B a secret. Not a knob: 16 times the longest in the
-# tests, the demos, the default sweeps and the benchmark workloads (256).
+# The longest key chain a config may ask for. A first reveal hashes and keeps
+# a whole chain, about 57 B a secret, and one check of a revealed secret
+# hashes up to chain_length steps (a request naming index 0 at a node that
+# holds no record of its source), so this also caps one check at 4,096
+# hashes. Not a knob: 16 times the longest in the tests, the demos, the
+# default sweeps and the benchmark workloads (256).
 MAX_CHAIN_LENGTH = 4_096
 
 
@@ -346,14 +348,13 @@ class Simulation:
         master = self.rng_setup.randbytes(crypto.SECRET_LEN)
         node_ids = list(range(config.node_count))
         shared_keys = crypto.SharedKeyTable.derive(master, node_ids)
-        self.publics: dict[int, Sequence[bytes]] = {}
+        self.chains: dict[int, crypto.KeyChain] = {}
         self.nodes: dict[int, NodeState] = {}
         for i in node_ids:
-            chain = crypto.generate_keychain(self.rng_setup.randbytes(16),
-                                             config.chain_length, owner=i)
-            self.publics[i] = chain.publics
+            self.chains[i] = crypto.generate_keychain(
+                self.rng_setup.randbytes(16), config.chain_length, owner=i)
             self.nodes[i] = NodeState(
-                i, chain, shared_keys, self.publics, config,
+                i, shared_keys, self.chains, config,
                 in_range_fn=self.mobility.in_range,
                 log=self._node_logger(i))
 
@@ -551,8 +552,9 @@ class Simulation:
         request = None
         if valid and type(message) is Rreq:    # the record it would leave
             source = message.source_id
-            request = (self.publics.get(source), message.verifier[0],
-                       message.request_id)
+            index, secret = message.verifier
+            request = (self.chains.get(source), index, message.request_id,
+                       secret)
         nodes, replayers = self.nodes, self._replayers
         duplicates = 0
         for receiver in receivers:

@@ -26,14 +26,13 @@ class World:
             adjacency = {i: [j for j in range(n) if j != i] for i in range(n)}
         self.adjacency = adjacency
         self.shared_keys = SharedKeyTable.derive(b"\x42" * 16, range(n))
-        self.publics = {}
+        self.chains = {}
         self.nodes = {}
         self.events = []
         for i in range(n):
-            chain = generate_keychain(bytes([i]) * 16, 32, owner=i)
-            self.publics[i] = chain.publics
+            self.chains[i] = generate_keychain(bytes([i]) * 16, 32, owner=i)
             self.nodes[i] = NodeState(
-                i, chain, self.shared_keys, self.publics, self.config,
+                i, self.shared_keys, self.chains, self.config,
                 in_range_fn=lambda a, b: b in self.adjacency[a],
                 log=self._logger(i))
 

@@ -287,10 +287,10 @@ def test_criterion_7_crypto_suite(capsys):
     # key-chain soundness and forgery resistance
     chain = crypto.generate_keychain(b"\x05" * 16, 64, owner=1)
     sound = all(
-        crypto.verify_reveal(chain.publics, *crypto.reveal_next(chain))
+        crypto.verify_reveal(chain, *crypto.reveal_next(chain))
         for _ in range(64))
     forgeries = sum(
-        crypto.verify_reveal(chain.publics, rng.randrange(64),
+        crypto.verify_reveal(chain, rng.randrange(64),
                              rng.randbytes(16))
         for _ in range(10_000))
 

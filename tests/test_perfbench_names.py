@@ -6,6 +6,9 @@ fail there."""
 import importlib.util
 from pathlib import Path
 
+from conftest import World
+from lararp import protocol
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -31,3 +34,16 @@ def test_every_benchmark_config_validates():
         assert configs, name
         for config in configs:
             config.validate()
+
+
+def test_admit_checks_a_reveal_through_the_traced_name(monkeypatch):
+    # the traced run times chain checks by patching protocol.verify_reveal;
+    # a check made any other way would read zero in the crypto.reveal layer
+    calls = []
+    real = protocol.verify_reveal
+    monkeypatch.setattr(protocol, "verify_reveal",
+                        lambda *args: calls.append(args) or real(*args))
+    world = World.line(3)
+    rreq = world.nodes[0].new_rreq(2, world.rng)
+    assert world.nodes[1].handle_rreq(rreq, 0, 0.0).drop is None
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from conftest import World
+from lararp import crypto
 from lararp.crypto import verify_reveal, verify_tag
 from lararp.messages import DataPacket, hop_digest
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
@@ -18,7 +19,7 @@ def test_initiate_constructs_valid_rreq(line5):
     rreq = node.initiate_route_discovery(4, 0.0, line5.rng)
     assert rreq.node_list == [] and rreq.hop_tags == []
     assert verify_tag(node.key(4), rreq.request_id, rreq.source_tag)
-    assert verify_reveal(line5.publics[0], *rreq.verifier)
+    assert verify_reveal(line5.chains[0], *rreq.verifier)
     assert 4 in node.pending
 
 
@@ -38,12 +39,14 @@ def test_initiate_noop_with_existing_route(line5):
 
 def test_keychain_rollover(line5):
     node = line5.nodes[0]
-    node.keychain.next_index = len(node.keychain.secrets)   # exhausted
+    spent = line5.chains[0]
+    spent.next_index = spent.length   # exhausted
     rreq = node.initiate_route_discovery(4, 0.0, line5.rng)
     assert rreq is not None
     assert any(kind == "key-rollover" for _, kind, _ in line5.events)
-    # re-provisioned verifiers still check out
-    assert verify_reveal(line5.publics[0], *rreq.verifier)
+    # the one shared entry now holds the new chain, whose reveals check out
+    assert line5.chains[0] is not spent and node.chains is line5.chains
+    assert verify_reveal(line5.chains[0], *rreq.verifier)
 
 
 # -- intermediate RREQ handling ---------------------------------------------
@@ -75,7 +78,7 @@ def test_tampered_verifier_dropped_at_first_honest_hop():
     flipped = bytes([secret[0] ^ 1]) + secret[1:]
     rreq.verifier = (idx, flipped)
     # oracle: manual verify_reveal agrees the reveal is bogus
-    assert not verify_reveal(world.publics[0], idx, flipped)
+    assert not verify_reveal(world.chains[0], idx, flipped)
     result = world.nodes[1].handle_rreq(rreq, 0, 0.0)
     assert result.drop == BAD_VERIFIER
 
@@ -93,7 +96,7 @@ def test_a_chain_element_serves_one_request_id():
     forged.request_id = bytes([rreq.request_id[0] ^ 1]) + rreq.request_id[1:]
     assert world.nodes[1].handle_rreq(forged, 0, 0.0).drop == BAD_VERIFIER
     assert source.handle_rreq(forged, 1, 0.0).drop == BAD_VERIFIER
-    source.keychain.next_index = len(source.keychain.secrets)
+    world.chains[0].next_index = world.chains[0].length
     renewed = source.new_rreq(2, world.rng)
     assert renewed.verifier[0] == world.config.chain_length - 1
     assert world.nodes[1].handle_rreq(renewed, 0, 0.0).drop is None
@@ -123,12 +126,36 @@ def test_a_node_keeps_one_record_per_source_across_rollovers(chain_length):
     # one accepted
     world = World.line(3, chain_length=chain_length)
     source, relay = world.nodes[0], world.nodes[1]
-    for _ in range(len(source.keychain.secrets) + 2 * chain_length + 1):
+    for _ in range(world.chains[0].length + 2 * chain_length + 1):
         rreq = source.new_rreq(2, world.rng)
         assert relay.handle_rreq(rreq, 0, 0.0).drop is None
     assert any(kind == "key-rollover" for _, kind, _ in world.events)
-    assert relay.latest == {0: (world.publics[0], rreq.verifier[0],
-                                rreq.request_id)}
+    assert relay.latest == {0: (world.chains[0], rreq.verifier[0],
+                                rreq.request_id, rreq.verifier[1])}
+
+
+def test_a_check_hashes_forward_to_the_newest_element_held(monkeypatch):
+    # a relay that accepted a source's request checks the next one with one
+    # chain step, to the element it holds; a node with no record of the
+    # source walks from index i to the anchor, chain length - i steps
+    world = World(3)
+    source, relay, stranger = world.nodes[0], world.nodes[1], world.nodes[2]
+    length = world.chains[0].length
+    requests = [source.new_rreq(2, world.rng) for _ in range(length)]
+    real_owf = crypto.owf
+    labels = []
+    monkeypatch.setattr(crypto, "owf", lambda label, data: (
+        labels.append(label) or real_owf(label, data)))
+    for rreq in requests:
+        index = rreq.verifier[0]
+        labels.clear()
+        assert stranger._admit(rreq) is None
+        assert labels == [b"chain"] * (length - index)
+        labels.clear()
+        assert relay._admit(rreq) is None
+        assert labels == [b"chain"]
+        relay._accept(rreq)
+    assert index == 0
 
 
 # -- destination pipeline ---------------------------------------------------

@@ -697,7 +697,7 @@ def test_radio_tests_the_record_as_admit_does(monkeypatch, case, duplicate):
     accepted = source.new_rreq(1, sim.rng_protocol)
     receiver._accept(accepted)
     if case == "rolled-over":
-        source.keychain.next_index = len(source.keychain.secrets)
+        sim.chains[0].next_index = sim.chains[0].length
     if case == "again":
         sent = accepted
     elif case == "older":
