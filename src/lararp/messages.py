@@ -4,6 +4,11 @@ Every authentication tag in the protocol is computed over bytes produced
 here, so the encoding is fixed-endian (big-endian), fixed-width, and
 injective on well-formed messages. The byte layout is documented in
 docs/wire_format.md.
+
+Each fixed header packs with one precompiled struct.Struct, and each list
+of node ids with one Struct call for the whole list. A bytes field of the
+wrong length raises EncodingError wherever it is packed: struct's "s"
+format would pad or truncate it, so every packer checks the lengths first.
 """
 
 import struct
@@ -15,11 +20,28 @@ RREQ_TYPE = 0x01
 RREP_TYPE = 0x02
 DATA_TYPE = 0x03
 
+REQUEST_ID_LEN = 8
+
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+# type, source_id, dest_id, request_id, source_tag, verifier index and secret
+_RREQ_HEADER = struct.Struct(f">BII{REQUEST_ID_LEN}s{TAG_LEN}sI{SECRET_LEN}s")
+# type, source_id, dest_id, request_id_tag
+_RREP_HEADER = struct.Struct(f">BII{TAG_LEN}s")
+# type, flow_id, seq, source_id, dest_id, payload_size
+_DATA_HEADER = struct.Struct(">BIIIII")
 
-REQUEST_ID_LEN = 8
+
+class _IdStructs(dict):
+    """count -> the Struct that packs that many u32 node ids."""
+
+    def __missing__(self, count: int) -> struct.Struct:
+        packer = self[count] = struct.Struct(f">{count}I")
+        return packer
+
+
+_IDS = _IdStructs()
 
 
 class EncodingError(ValueError):
@@ -48,15 +70,9 @@ class Rreq:
     def validate(self):
         if self.source_id == self.dest_id:
             raise EncodingError("dest_id", "equals source_id")
-        if len(self.request_id) != REQUEST_ID_LEN:
-            raise EncodingError("request_id", "must be 8 bytes")
-        if len(self.source_tag) != TAG_LEN:
-            raise EncodingError("source_tag", "must be 16 bytes")
-        idx, secret = self.verifier
-        if idx < 0:
+        self._check_lengths()
+        if self.verifier[0] < 0:
             raise EncodingError("verifier", "negative index")
-        if len(secret) != SECRET_LEN:
-            raise EncodingError("verifier", "secret must be 16 bytes")
         if len(self.hop_tags) != len(self.node_list):
             raise EncodingError("hop_tags", "length differs from node_list")
         if len(set(self.node_list)) != len(self.node_list):
@@ -64,6 +80,16 @@ class Rreq:
         for tag in self.hop_tags:
             if len(tag) != TAG_LEN:
                 raise EncodingError("hop_tags", "tag must be 16 bytes")
+
+    def _check_lengths(self):
+        """The header's bytes fields, which rreq_header packs with struct's
+        "s" format; that would pad or truncate a field of another length."""
+        if len(self.request_id) != REQUEST_ID_LEN:
+            raise EncodingError("request_id", "must be 8 bytes")
+        if len(self.source_tag) != TAG_LEN:
+            raise EncodingError("source_tag", "must be 16 bytes")
+        if len(self.verifier[1]) != SECRET_LEN:
+            raise EncodingError("verifier", "secret must be 16 bytes")
 
 
 @dataclass
@@ -130,7 +156,7 @@ def wellformed(message) -> bool:
 
 
 def _pack_ids(ids: list[int]) -> bytes:
-    return _U16.pack(len(ids)) + b"".join(_U32.pack(i) for i in ids)
+    return _U16.pack(len(ids)) + _IDS[len(ids)].pack(*ids)
 
 
 def _pack_tags(tags: list[bytes]) -> bytes:
@@ -139,15 +165,18 @@ def _pack_tags(tags: list[bytes]) -> bytes:
 
 def rreq_header(r: Rreq) -> bytes:
     """Fixed prefix common to the full encoding and every hop digest."""
+    r._check_lengths()
     idx, secret = r.verifier
-    return (bytes([RREQ_TYPE]) + _U32.pack(r.source_id) + _U32.pack(r.dest_id)
-            + r.request_id + r.source_tag + _U32.pack(idx) + secret)
+    return _RREQ_HEADER.pack(RREQ_TYPE, r.source_id, r.dest_id, r.request_id,
+                             r.source_tag, idx, secret)
 
 
 def rrep_body(r: Rrep) -> bytes:
     """The bytes every destination tag covers: header plus the route."""
-    return (bytes([RREP_TYPE]) + _U32.pack(r.source_id) + _U32.pack(r.dest_id)
-            + r.request_id_tag + _pack_ids(r.route))
+    if len(r.request_id_tag) != TAG_LEN:
+        raise EncodingError("request_id_tag", "must be 16 bytes")
+    return (_RREP_HEADER.pack(RREP_TYPE, r.source_id, r.dest_id,
+                              r.request_id_tag) + _pack_ids(r.route))
 
 
 def reverse_tag_payload(r: Rrep, hop_id: int) -> bytes:
@@ -161,7 +190,7 @@ def hop_digest(rreq: Rreq, k: int) -> bytes:
     hops never changes the digest for earlier positions."""
     if not 0 <= k < len(rreq.node_list):
         raise ValueError(f"hop position {k} out of range")
-    return rreq_header(rreq) + b"".join(_U32.pack(i) for i in rreq.node_list[:k + 1])
+    return rreq_header(rreq) + _IDS[k + 1].pack(*rreq.node_list[:k + 1])
 
 
 def encode(message) -> bytes:
@@ -174,9 +203,9 @@ def encode(message) -> bytes:
         return (rrep_body(message) + _pack_tags(message.dest_tags)
                 + _pack_tags(message.reverse_hop_tags))
     if isinstance(message, DataPacket):
-        return (bytes([DATA_TYPE]) + _U32.pack(message.flow_id)
-                + _U32.pack(message.seq) + _U32.pack(message.source_id)
-                + _U32.pack(message.dest_id) + _U32.pack(message.payload_size)
+        return (_DATA_HEADER.pack(DATA_TYPE, message.flow_id, message.seq,
+                                  message.source_id, message.dest_id,
+                                  message.payload_size)
                 + _pack_ids(message.route) + _F64.pack(message.created_at))
     raise EncodingError("type", f"unknown message {type(message).__name__}")
 
@@ -238,8 +267,8 @@ def decode(data: bytes):
 
 # Encoded lengths of the fixed parts: the RREQ header and its two list
 # counts; the RREP body header and its three list counts.
-_RREQ_FIXED = 1 + 4 + 4 + REQUEST_ID_LEN + TAG_LEN + 4 + SECRET_LEN + 2 + 2
-_RREP_FIXED = 1 + 4 + 4 + TAG_LEN + 2 + 2 + 2
+_RREQ_FIXED = _RREQ_HEADER.size + 2 + 2
+_RREP_FIXED = _RREP_HEADER.size + 2 + 2 + 2
 
 
 def wire_size(message) -> int:

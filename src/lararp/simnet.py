@@ -9,7 +9,10 @@ a data hop is the event ``_hop``, which is the data arrival, and a control
 broadcast or unicast is one ``_transmission`` naming its receivers, and one
 validation. A neighbour row is the receiver set of a broadcast, taken at
 send time, and nothing else builds one: a unicast hop tests its one link
-with MobilityState.in_range. The transmission decides once whether a
+with MobilityState.in_range. Rows are built a block of consecutive ids at a
+time, in one numpy pass: the first broadcast after a move from any node of
+a block builds every row of that block (the whole table up to 128 nodes),
+and the rows last until a node moves. The transmission decides once whether a
 control message is well-formed, then hands it to each receiver in turn, in
 ascending id order; every receiver drops a malformed one as it arrives,
 without a handler call. That verdict holds for every receiver because they
@@ -82,6 +85,14 @@ MAX_NODES = 100_000
 # default sweeps and the benchmark workloads (256).
 MAX_CHAIN_LENGTH = 4_096
 
+# The most pair tests one neighbour-row block computes: a block holds
+# max(1, ROW_PAIRS // node_count) rows, which caps each temporary array of
+# its build at about 128 KB and one broadcast's row work at
+# max(ROW_PAIRS, node_count) pair tests. Not a knob: at 100 nodes one block
+# is the whole table, so a position epoch builds its rows once, and at 1,000
+# nodes a block is 16 rows.
+ROW_PAIRS = 16_384
+
 
 @dataclass
 class ScenarioConfig(ProtocolConfig, AttackConfig):
@@ -151,8 +162,11 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
             if src == dst or src not in nodes or dst not in nodes:
                 raise ScenarioError(f"flow ({src}, {dst}) needs two distinct "
                                     f"ids in range(node_count)")
-        if self.positions is not None and len(self.positions) != len(nodes):
-            raise ScenarioError("positions must cover every node")
+        if self.positions is not None:
+            if len(self.positions) != len(nodes):
+                raise ScenarioError("positions must cover every node")
+            if not all(map(_is_point, self.positions)):
+                raise ScenarioError("each position must be two finite numbers")
         flows = self.flow_count if self.flows is None else len(self.flows)
         if self.flows is None and flows > len(nodes) * (len(nodes) - 1):
             raise ScenarioError("flow_count exceeds the ordered node pairs")
@@ -179,6 +193,15 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
                 f"{key} schedules too much timer work: {total:.3g} node-steps, "
                 f"packets, flood hops and retry hops before sim_time, above "
                 f"{MAX_TIMER_EVENTS:,}")
+
+
+def _is_point(position) -> bool:
+    """Whether position is an (x, y) pair of finite numbers."""
+    try:
+        x, y = position
+        return math.isfinite(x) and math.isfinite(y)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
@@ -225,11 +248,15 @@ class MobilityState:
 
     A neighbour row is the receiver set of a broadcast; a unicast hop asks
     in_range about its one link and builds no row. Rows are computed
-    lazily, one per queried node, against numpy copies of the positions
-    taken once per change, and are kept until step_mobility moves a node.
-    ``_nbr_cache = None`` marks them stale, and whatever moves a node must
-    set it: the radio takes rows that are still current to mean that no
-    node has moved."""
+    lazily, a block of consecutive ids at a time: the first query for a
+    node since the last move computes every row of the block that holds it,
+    in one numpy pass against copies of the positions taken once per
+    change, and a block is at most ROW_PAIRS pair tests. Rows are kept
+    until step_mobility moves a node. ``_nbr_cache`` holds them, one slot
+    per node, and ``_nbr_cache = None`` marks them stale; whatever moves a
+    node must set it, so a new container is made after every move, and the
+    radio takes a container that is still current to mean that no node has
+    moved."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random):
         self.config = config
@@ -244,9 +271,10 @@ class MobilityState:
         self.waypoint: list[tuple[float, float] | None] = [None] * n
         self.speed = [0.0] * n
         self.paused_until = [config.pause_time] * n
-        self._nbr_cache: dict[int, list[int]] | None = None
+        self._nbr_cache: list[list[int] | None] | None = None
         self._node_count = n
         self._range_sq = config.radio_range ** 2
+        self._block = max(1, ROW_PAIRS // n)
 
     def in_range(self, a: int, b: int) -> bool:
         """Whether b is in neighbors(a), without building the row: False for
@@ -261,17 +289,31 @@ class MobilityState:
     def neighbors(self, node: int) -> list[int]:
         """Ids within radio range of node, ascending (hence deterministic).
         A returned row is never mutated; queued transmissions hold it."""
-        if self._nbr_cache is None:
-            self._nbr_cache = {}
+        rows = self._nbr_cache
+        if rows is None:
+            rows = self._nbr_cache = [None] * self._node_count
             self._xs = np.array(self.x)
             self._ys = np.array(self.y)
-        row = self._nbr_cache.get(node)
+        row = rows[node]
         if row is None:
+            start = node - node % self._block
+            stop = min(start + self._block, self._node_count)
             xs, ys = self._xs, self._ys
-            within = ((xs - xs[node]) ** 2 + (ys - ys[node]) ** 2
-                      <= self._range_sq)
-            within[node] = False
-            row = self._nbr_cache[node] = np.flatnonzero(within).tolist()
+            # entry [i, j] tests node start + i against node j, with the
+            # arithmetic in_range uses
+            within = ((xs - xs[start:stop, None]) ** 2
+                      + (ys - ys[start:stop, None]) ** 2 <= self._range_sq)
+            own = np.arange(stop - start)
+            within[own, own + start] = False
+            # nonzero walks row-major, so each row's ids come out ascending
+            at, ids = np.nonzero(within)
+            ends = np.searchsorted(at, own, side="right").tolist()
+            ids = ids.tolist()
+            lo = 0
+            for i, hi in enumerate(ends):
+                rows[start + i] = ids[lo:hi]
+                lo = hi
+            row = rows[node]
         return row
 
 
@@ -283,26 +325,29 @@ def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
     cfg = mobility.config
     mobility.now += dt
     now = mobility.now
+    xs, ys, waypoint = mobility.x, mobility.y, mobility.waypoint
+    speed, paused_until = mobility.speed, mobility.paused_until
+    hypot = math.hypot
     moved = False
     for i in range(cfg.node_count):
-        if mobility.paused_until[i] > now:
+        if paused_until[i] > now:
             continue
         moved = True
-        if mobility.waypoint[i] is None:
-            mobility.waypoint[i] = (rng.uniform(0.0, cfg.area_width),
-                                    rng.uniform(0.0, cfg.area_height))
-            mobility.speed[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
-        wx, wy = mobility.waypoint[i]
-        dx, dy = wx - mobility.x[i], wy - mobility.y[i]
-        dist = math.hypot(dx, dy)
-        step = mobility.speed[i] * dt
+        if waypoint[i] is None:
+            waypoint[i] = (rng.uniform(0.0, cfg.area_width),
+                           rng.uniform(0.0, cfg.area_height))
+            speed[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
+        wx, wy = waypoint[i]
+        dx, dy = wx - xs[i], wy - ys[i]
+        dist = hypot(dx, dy)
+        step = speed[i] * dt
         if step >= dist or dist == 0.0:
-            mobility.x[i], mobility.y[i] = wx, wy
-            mobility.waypoint[i] = None
-            mobility.paused_until[i] = now + cfg.pause_time
+            xs[i], ys[i] = wx, wy
+            waypoint[i] = None
+            paused_until[i] = now + cfg.pause_time
         else:
-            mobility.x[i] += dx / dist * step
-            mobility.y[i] += dy / dist * step
+            xs[i] += dx / dist * step
+            ys[i] += dy / dist * step
     if moved:
         mobility._nbr_cache = None
 

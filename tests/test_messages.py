@@ -1,10 +1,12 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lararp.messages import (DataPacket, EncodingError, Rrep, Rreq, decode,
-                             encode, hop_digest, wire_size)
+                             encode, hop_digest, reverse_tag_payload,
+                             rrep_body, rreq_header, wire_size)
 
 RNG = random.Random(11)
 
@@ -155,3 +157,139 @@ def test_wire_size_data_is_payload():
         for traversed in range(hops + 1):
             m = make_rrep(rng, hops=hops, traversed=traversed)
             assert wire_size(m) == len(encode(m))
+
+
+# -- packing against the concatenating oracle --------------------------------
+
+# The encoders as first written: one struct call and one join per node id,
+# and the headers concatenated field by field.
+
+def _u32(value):
+    return struct.pack(">I", value)
+
+
+def _oracle_ids(ids):
+    return struct.pack(">H", len(ids)) + b"".join(_u32(i) for i in ids)
+
+
+def _oracle_tags(tags):
+    return struct.pack(">H", len(tags)) + b"".join(tags)
+
+
+def oracle_rreq_header(r):
+    idx, secret = r.verifier
+    return (bytes([0x01]) + _u32(r.source_id) + _u32(r.dest_id)
+            + r.request_id + r.source_tag + _u32(idx) + secret)
+
+
+def oracle_hop_digest(r, k):
+    return oracle_rreq_header(r) + b"".join(_u32(i)
+                                            for i in r.node_list[:k + 1])
+
+
+def oracle_rrep_body(r):
+    return (bytes([0x02]) + _u32(r.source_id) + _u32(r.dest_id)
+            + r.request_id_tag + _oracle_ids(r.route))
+
+
+def oracle_reverse_tag_payload(r, hop_id):
+    return oracle_rrep_body(r) + b"rev" + _u32(hop_id)
+
+
+def oracle_encode(m):
+    if isinstance(m, Rreq):
+        return (oracle_rreq_header(m) + _oracle_ids(m.node_list)
+                + _oracle_tags(m.hop_tags))
+    if isinstance(m, Rrep):
+        return (oracle_rrep_body(m) + _oracle_tags(m.dest_tags)
+                + _oracle_tags(m.reverse_hop_tags))
+    return (bytes([0x03]) + _u32(m.flow_id) + _u32(m.seq) + _u32(m.source_id)
+            + _u32(m.dest_id) + _u32(m.payload_size) + _oracle_ids(m.route)
+            + struct.pack(">d", m.created_at))
+
+
+# the ends of the u32 range, and the band tampered routes name
+U32S = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 0x7FFF0000]),
+                 st.integers(0x7FFF0000, 2 ** 32 - 1),
+                 st.integers(0, 2 ** 32 - 1))
+TAGS = st.binary(min_size=16, max_size=16)
+ID_LISTS = st.lists(U32S, max_size=6, unique=True)
+
+
+@st.composite
+def endpoints(draw):
+    source = draw(U32S)
+    return source, draw(U32S.filter(lambda d: d != source))
+
+
+@st.composite
+def rreqs(draw):
+    source, dest = draw(endpoints())
+    node_list = draw(ID_LISTS)
+    return Rreq(source_id=source, dest_id=dest,
+                request_id=draw(st.binary(min_size=8, max_size=8)),
+                source_tag=draw(TAGS), verifier=(draw(U32S), draw(TAGS)),
+                node_list=node_list,
+                hop_tags=draw(st.lists(TAGS, min_size=len(node_list),
+                                       max_size=len(node_list))))
+
+
+@st.composite
+def rreps(draw):
+    source, dest = draw(endpoints())
+    route = draw(ID_LISTS)
+    return Rrep(source_id=source, dest_id=dest, request_id_tag=draw(TAGS),
+                route=route,
+                dest_tags=draw(st.lists(TAGS, min_size=len(route) + 1,
+                                        max_size=len(route) + 1)),
+                reverse_hop_tags=draw(st.lists(TAGS, max_size=len(route))))
+
+
+@st.composite
+def data_packets(draw):
+    source, dest = draw(endpoints())
+    return DataPacket(flow_id=draw(U32S), seq=draw(U32S), source_id=source,
+                      dest_id=dest, payload_size=draw(U32S.filter(bool)),
+                      route=draw(ID_LISTS),
+                      created_at=draw(st.floats(allow_nan=False)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(rreqs(), rreps(), data_packets()), U32S)
+def test_packing_equals_the_concatenating_oracle(message, hop_id):
+    assert encode(message) == oracle_encode(message)
+    if isinstance(message, Rreq):
+        assert rreq_header(message) == oracle_rreq_header(message)
+        for k in range(len(message.node_list)):
+            assert hop_digest(message, k) == oracle_hop_digest(message, k)
+    if isinstance(message, Rrep):
+        assert rrep_body(message) == oracle_rrep_body(message)
+        assert (reverse_tag_payload(message, hop_id)
+                == oracle_reverse_tag_payload(message, hop_id))
+
+
+@pytest.mark.parametrize("fieldname,size", [
+    ("request_id", 7), ("request_id", 9), ("source_tag", 15),
+    ("source_tag", 17), ("verifier", 15), ("verifier", 17)])
+def test_a_wrong_length_header_field_raises(fieldname, size):
+    # struct's "s" format pads or truncates a bytes field to its width; the
+    # header and every digest that starts with it must refuse it instead
+    m = make_rreq(random.Random(14))
+    if fieldname == "verifier":
+        m.verifier = (m.verifier[0], bytes(size))
+    else:
+        setattr(m, fieldname, bytes(size))
+    for pack in (rreq_header, lambda r: hop_digest(r, 0), encode):
+        with pytest.raises(EncodingError) as exc:
+            pack(m)
+        assert exc.value.fieldname == fieldname
+
+
+@pytest.mark.parametrize("size", [15, 17])
+def test_a_wrong_length_request_id_tag_raises(size):
+    m = make_rrep(random.Random(15))
+    m.request_id_tag = bytes(size)
+    for pack in (rrep_body, lambda r: reverse_tag_payload(r, 1), encode):
+        with pytest.raises(EncodingError) as exc:
+            pack(m)
+        assert exc.value.fieldname == "request_id_tag"

@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import World
-from lararp import protocol
+from lararp import Simulation, protocol
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +47,14 @@ def test_admit_checks_a_reveal_through_the_traced_name(monkeypatch):
     rreq = world.nodes[0].new_rreq(2, world.rng)
     assert world.nodes[1].handle_rreq(rreq, 0, 0.0).drop is None
     assert len(calls) == 1
+
+
+def test_scale_1000_digest_matches_the_benchmark_reference():
+    # the benchmark prints a digest mismatch as text only, and this is the
+    # one check of a 1000-node run: recompute the seed-1 scale-1000 digest
+    bench = load("run")
+    _, configs = bench.batch("scale-1000", 1)
+    reports = [Simulation(config).run() for config in configs]
+    reference = bench.reference_digest("scale-1000", 1)
+    assert reference is not None
+    assert bench.csv_digest(configs, reports) == reference

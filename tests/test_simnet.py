@@ -43,12 +43,21 @@ def test_config_validation():
 
 @pytest.mark.parametrize("overrides", [
     dict(flows=[(0, 50)]), dict(flows=[(3, 3)]), dict(flows=[(-1, 3)]),
-    dict(positions=[(0.0, 0.0)] * 9)],
+    dict(positions=[(0.0, 0.0)] * 9),
+    dict(positions=[(0.0,)] + [(1.0, 1.0)] * 9),
+    dict(positions=[(0, 0, 0)] + [(1.0, 1.0)] * 9),
+    dict(positions=[(math.nan, 0.0)] + [(1.0, 1.0)] * 9),
+    dict(positions=[(0.0, math.inf)] + [(1.0, 1.0)] * 9),
+    dict(positions=[("0", 0.0)] + [(1.0, 1.0)] * 9),
+    dict(positions=[0.0] + [(1.0, 1.0)] * 9)],
     ids=["flow-to-node-50", "flow-to-itself", "flow-from-node-minus-1",
-         "positions-for-9-nodes"])
+         "positions-for-9-nodes", "position-of-one-number",
+         "position-of-three-numbers", "position-nan", "position-inf",
+         "position-string", "position-scalar"])
 def test_validate_rejects_flows_and_positions_outside_the_network(overrides):
     # each of these passed validate: the flows then crashed the run with a
-    # KeyError, and the positions were refused only when it was built
+    # KeyError, a one-number position with an IndexError, and the other
+    # positions were refused only when it was built, or not at all
     with pytest.raises(ScenarioError):
         ScenarioConfig(node_count=10, **overrides).validate()
 
@@ -323,6 +332,71 @@ def test_neighbors_match_pairwise_oracle(placed, pause_time, seed):
             assert all(mob.neighbors(i) is rows[i] for i in range(n))
     assert [mob.neighbors(i) for i in range(n)] == [
         oracle_neighbors(mob, i, r) for i in range(n)]
+
+
+def grid_positions(n, seed):
+    """n points of a 50 m grid, 20 to a line, in a shuffled id order: at a
+    250 m range each point has partners exactly in range along both axes
+    and at (150, 200), whose squares sum to 250 ** 2 exactly."""
+    points = [(50.0 * (k % 20), 50.0 * (k // 20)) for k in range(n)]
+    random.Random(seed).shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_block_rows_match_the_oracle_on_a_grid(n):
+    # 300 nodes make blocks of 54 rows and a last one of 30; 1000 make 16
+    # and a last one of 8. Rows are asked for in a shuffled order, so most
+    # come from a block another query built
+    cfg = ScenarioConfig(node_count=n, positions=grid_positions(n, n),
+                         radio_range=250.0, pause_time=0.0)
+    mob = MobilityState(cfg, random.Random(n))
+    rng = random.Random(n + 1)
+    order = list(range(n))
+    for _ in range(2):
+        rng.shuffle(order)
+        rows = {i: mob.neighbors(i) for i in order}
+        assert [rows[i] for i in range(n)] == [
+            oracle_neighbors(mob, i, 250.0) for i in range(n)]
+        step_mobility(mob, 0.5, rng)
+
+
+def test_rows_last_until_a_node_moves():
+    n = 300
+    cfg = ScenarioConfig(node_count=n, positions=grid_positions(n, 1),
+                         pause_time=0.25)
+    mob = MobilityState(cfg, random.Random(1))
+    rng = random.Random(2)
+    rows = [mob.neighbors(i) for i in range(n)]
+    cache = mob._nbr_cache
+    step_mobility(mob, 0.1, rng)          # every node is still paused
+    assert mob._nbr_cache is cache
+    assert all(mob.neighbors(i) is rows[i] for i in range(n))
+    step_mobility(mob, 0.2, rng)          # every node starts to move
+    assert mob._nbr_cache is None
+    mob.neighbors(0)
+    assert mob._nbr_cache is not cache
+
+
+def test_a_broadcast_fills_only_its_own_block():
+    # at 1000 nodes a block is 16 rows: a broadcast pays for its own block,
+    # not the whole table, and the last block holds the 8 ids left over
+    cfg = ScenarioConfig(node_count=1000, area_width=3162.0,
+                         area_height=3162.0, sim_time=10.0, seed=1)
+    sim = Simulation(cfg)
+    mob = sim.mobility
+    assert simnet.ROW_PAIRS // 1000 == 16
+
+    def filled():
+        return [i for i, row in enumerate(mob._nbr_cache) if row is not None]
+
+    sim._broadcast(500, sim.nodes[500].new_rreq(3, sim.rng_protocol), 0.0)
+    assert filled() == list(range(496, 512))
+    sim._broadcast(999, sim.nodes[999].new_rreq(3, sim.rng_protocol), 0.0)
+    assert filled() == list(range(496, 512)) + list(range(992, 1000))
+    r = cfg.radio_range
+    assert all(mob._nbr_cache[i] == oracle_neighbors(mob, i, r)
+               for i in filled())
 
 
 def test_one_hop_static_flow_is_lossless():
