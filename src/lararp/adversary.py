@@ -80,10 +80,9 @@ def mutate_field(message, fieldname: str, rng):
 class Attacker:
     """Wraps one node; the simulator routes events through this shim."""
 
-    def __init__(self, config: AttackConfig, node, rng):
+    def __init__(self, config: AttackConfig, rng):
         self.config = config
         self.kind = config.attacker_kind
-        self.node = node
         self.rng = rng
         self._replayed: list = []   # messages captured for re-injection
 

@@ -75,8 +75,11 @@ class Rreq:
             raise EncodingError("verifier", "negative index")
         if len(self.hop_tags) != len(self.node_list):
             raise EncodingError("hop_tags", "length differs from node_list")
-        if len(set(self.node_list)) != len(self.node_list):
+        ids = set(self.node_list)
+        if len(ids) != len(self.node_list):
             raise EncodingError("node_list", "duplicate node id")
+        if self.source_id in ids or self.dest_id in ids:
+            raise EncodingError("node_list", "names the source or destination")
         for tag in self.hop_tags:
             if len(tag) != TAG_LEN:
                 raise EncodingError("hop_tags", "tag must be 16 bytes")
@@ -112,8 +115,11 @@ class Rrep:
             raise EncodingError("dest_id", "equals source_id")
         if len(self.request_id_tag) != TAG_LEN:
             raise EncodingError("request_id_tag", "must be 16 bytes")
-        if len(set(self.route)) != len(self.route):
+        ids = set(self.route)
+        if len(ids) != len(self.route):
             raise EncodingError("route", "duplicate node id")
+        if self.source_id in ids or self.dest_id in ids:
+            raise EncodingError("route", "names the source or destination")
         if len(self.dest_tags) != len(self.route) + 1:
             raise EncodingError("dest_tags", "need one tag per route node plus source")
         for tag in self.dest_tags:

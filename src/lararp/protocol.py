@@ -5,18 +5,20 @@ code path.
 
 Handlers are synchronous and engine-agnostic: they receive the current
 time. A control handler returns a HandlerResult: the one message it sends
-and its receiver, or a drop reason, and how many expensive tag
-verifications were charged (the simulator converts the charge into
-processing latency). forward_data returns a data hop's next hop id, None
-on delivery, or the drop reason; on a LINK_BREAK drop the node invalidates
-its own route, and the engine tells the packet's source.
+and its receiver, or a drop reason, and charged, the count of every
+expensive tag verification it made. The engine logs that count, and bills
+it as processing latency for every result but a relayed request's, so a
+baseline forwarder's path checks are counted and not billed. forward_data
+returns a data hop's next hop id, None on delivery, or the drop reason; on
+a LINK_BREAK drop the node invalidates its own route, and the engine tells
+the packet's source.
 
 A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
 drops a malformed one at every receiver without calling a handler, and
 a test harness that plays the radio must do the same. Results are
-immutable; an uncharged drop returns the shared result in DROPPED, and a
-charged one is HandlerResult(drop=reason, charged=charged).
+immutable; a drop with no checks returns the shared result in DROPPED,
+and one with checks is HandlerResult(drop=reason, charged=charged).
 """
 
 from dataclasses import dataclass
@@ -72,10 +74,11 @@ class HandlerResult(NamedTuple):
     send: Rreq | Rrep | None = None
     to: int | None = None    # send's one receiver; None broadcasts it
     drop: str | None = None
-    charged: int = 0         # expensive tag verifications to bill as latency
+    charged: int = 0         # every expensive tag verification made; the
+                             # engine bills all but a relayed request's
 
 
-# One shared result per reason for every uncharged drop.
+# One shared result per reason for every drop with no checks.
 DROPPED = {reason: HandlerResult(drop=reason) for reason in (
     DUPLICATE, BAD_VERIFIER, BAD_SOURCE_MAC, BAD_HOP_TAG, PROHIBITED,
     NOT_IN_ROUTE, BAD_DEST_TAG, BAD_FIRST_HOP, REPLAY, MALFORMED)}
@@ -99,7 +102,6 @@ class NodeState:
         if config.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {config.protocol!r}")
         self.keeps_credit = config.protocol == "lararp"
-        self.path_checks = not self.keeps_credit
         self.id = node_id
         self.shared_keys = shared_keys
         # node id -> its current key chain, shared by every node; a node
@@ -118,9 +120,6 @@ class NodeState:
         # is the generation, which a rollover replaces
         self.latest: dict[int, tuple[crypto.KeyChain, int, bytes, bytes]] = {}
         self.pending: dict[int, PendingRequest] = {}
-        # Instrumentation: how many per-hop tag checks this node performed.
-        self.hop_tag_checks = 0
-        self.hop_tag_checks_as_dest = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -151,11 +150,6 @@ class NodeState:
         self.credits[neighbor] = cc
         if self.log is not _noop_log:    # a log is kept
             self.log("credit", neighbor=neighbor, event=event, cc=cc)
-
-    def _count_checks(self, n: int, as_dest: bool = False):
-        self.hop_tag_checks += n
-        if as_dest:
-            self.hop_tag_checks_as_dest += n
 
     # -- route discovery ---------------------------------------------------
 
@@ -225,18 +219,17 @@ class NodeState:
 
     def handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> HandlerResult:
         """Intermediate-node RREQ processing of a well-formed rreq: verify,
-        credit, append, forward."""
+        credit, append, forward. A baseline forwarder first checks every
+        accumulated hop tag, and the result counts those checks."""
         if (dropped := self._admit(rreq)) is not None:
             return dropped
-        if self.path_checks:
-            # Signature-everywhere baseline: check every accumulated hop tag
-            # at every node. Uncharged here so flood timing stays comparable;
-            # the workload is still counted.
-            reason, _ = self._check_hops(rreq, as_dest=False)
+        charged = 0
+        if not self.keeps_credit:
+            reason, charged = self._check_hops(rreq)
             if reason is not None:
-                return DROPPED[reason]
+                return HandlerResult(drop=reason, charged=charged)
         if rreq.dest_id not in self.chains:
-            return DROPPED[MALFORMED]
+            return HandlerResult(drop=MALFORMED, charged=charged)
         self._credit(prev_hop, FORWARDED)
         forwarded = Rreq(source_id=rreq.source_id, dest_id=rreq.dest_id,
                          request_id=rreq.request_id, source_tag=rreq.source_tag,
@@ -247,20 +240,19 @@ class NodeState:
         forwarded.hop_tags.append(
             compute_tag(self.key(rreq.dest_id), hop_digest(forwarded, own_pos)))
         self._accept(rreq)
-        return HandlerResult(forwarded)
+        return HandlerResult(forwarded, charged=charged)
 
     def handle_rreq_at_destination(self, rreq: Rreq, prev_hop: int,
                                    now: float) -> HandlerResult:
         """Destination pipeline for a well-formed rreq: the source's verifier
-        and MAC, the previous hop's credit, then _check_hops; its checks
-        are billed."""
+        and MAC, the previous hop's credit, then _check_hops."""
         if (dropped := self._admit(rreq)) is not None:
             return dropped
         if not verify_tag(self.key(rreq.source_id), rreq.request_id,
                           rreq.source_tag):
             return DROPPED[BAD_SOURCE_MAC]
         self._credit(prev_hop, FORWARDED)
-        reason, charged = self._check_hops(rreq, as_dest=True)
+        reason, charged = self._check_hops(rreq)
         if reason is not None:
             return HandlerResult(drop=reason, charged=charged)
         self._accept(rreq)
@@ -275,14 +267,13 @@ class NodeState:
         next_hop = rrep.route[-1] if rrep.route else rreq.source_id
         return HandlerResult(rrep, next_hop, charged=charged)
 
-    def _check_hops(self, rreq: Rreq,
-                    as_dest: bool) -> tuple[str | None, int]:
+    def _check_hops(self, rreq: Rreq) -> tuple[str | None, int]:
         """The one verifier of a well-formed rreq's hop tags, at a baseline
         forwarder or at the destination. Every hop not vetted by credit, and
         under full_verification every hop, is checked under its key with
         rreq.dest_id: a failed tag punishes the hop, and under credit a hop
         not vetted is prohibited. Returns the drop reason or None, and the
-        checks made; they are counted here."""
+        checks made."""
         checks, reason = 0, None
         for k, node in enumerate(rreq.node_list):
             # a node with no key chain is never vetted
@@ -300,7 +291,6 @@ class NodeState:
             if self.keeps_credit and not vetted:
                 reason = PROHIBITED
                 break
-        self._count_checks(checks, as_dest)
         return reason, checks
 
     def _check_reply(self, rrep: Rrep, pos: int,
@@ -309,7 +299,7 @@ class NodeState:
         at the source): the destination's tag for this node, the number of
         reverse tags the hops past pos have added, and, if check_tags, each
         of those tags. Returns the drop reason or None, and the tag checks
-        made; they are counted here, and the caller bills them."""
+        made."""
         checks = 1
         reason = None
         if not verify_tag(self.key(rrep.dest_id), rrep_body(rrep),
@@ -325,7 +315,6 @@ class NodeState:
                                          reverse_tag_payload(rrep, hop), tag):
                     reason = BAD_HOP_TAG
                     break
-        self._count_checks(checks)
         return reason, checks
 
     def handle_rrep(self, rrep: Rrep, prev_hop: int, now: float) -> HandlerResult:
@@ -341,7 +330,7 @@ class NodeState:
             return DROPPED[NOT_IN_ROUTE]
         if rrep.dest_id not in self.chains:
             return DROPPED[MALFORMED]
-        reason, charged = self._check_reply(rrep, pos, self.path_checks)
+        reason, charged = self._check_reply(rrep, pos, not self.keeps_credit)
         if reason is not None:
             return HandlerResult(drop=reason, charged=charged)
         forwarded = Rrep(source_id=rrep.source_id, dest_id=rrep.dest_id,

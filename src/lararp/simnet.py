@@ -4,33 +4,36 @@ drives protocol handlers and attacker shims.
 
 An event is a handler call: a heap entry is ``(time, ordinal, handler,
 args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
-time ties in push order. _send puts each message on the air as one event:
-a data hop is the event ``_hop``, which is the data arrival, and a control
+time ties in push order. _send puts each message on the air as one event: a
+data hop is the event ``_hop``, which is the data arrival, and a control
 broadcast or unicast is one ``_transmission`` naming its receivers, and one
 validation. A neighbour row is the receiver set of a broadcast, taken at
 send time, and nothing else builds one: a unicast hop tests its one link
 with MobilityState.in_range. Rows are built a block of consecutive ids at a
 time, in one numpy pass: the first broadcast after a move from any node of
 a block builds every row of that block (the whole table up to 128 nodes),
-and the rows last until a node moves. The transmission decides once whether a
-control message is well-formed, then hands it to each receiver in turn, in
-ascending id order; every receiver drops a malformed one as it arrives,
-without a handler call. That verdict holds for every receiver because they
-all get the same object and nothing changes a message once it is on the
-air. Every receiver is in range when a message is sent, and an arrival
-re-tests the range only if a node has moved since. A receiver in range
-drops a duplicate request at the radio, with one lookup of its record of
-the source and no handler call, so no duplicate reaches a handler except at
-a replay attacker, whose shim captures every copy it is handed. _hop settles
-a data hop, at an arrival or at the source: it logs a loss, a delivery or a
-drop, reports a relay's link break to the source at once, and lets a black
-or gray hole drop what it would forward. _arrival settles a control
-handler's result: it logs a drop, or sends the one message, or, at a source
-that accepted a route, sends the packets buffered for it. Node records
-(credits, route changes) are built, and a data hop calls a node's logger,
-only when a log is kept: the live metrics fold none of them. So are a data
-packet's send and delivery records, which the engine counts in place; every
-other engine record goes through _emit, which folds it live.
+and the rows last until a node moves. A move bumps the mobility epoch, and
+_send stamps each event with the epoch. The transmission decides once
+whether a control message is well-formed, then hands it to each receiver in
+turn, in ascending id order; every receiver drops a malformed one as it
+arrives, without a handler call. That verdict holds for every receiver
+because they all get the same object and nothing changes a message once it
+is on the air. Every receiver is in range when a message is sent, and an
+arrival re-tests the range only if the epoch has moved on since. A receiver
+in range drops a duplicate request at the radio, with one lookup of its
+record of the source and no handler call, so no duplicate reaches a handler
+except at a replay attacker, whose shim captures every copy it is handed.
+_hop settles a data hop, at an arrival or at the source: it logs a loss, a
+delivery or a drop, reports a relay's link break to the source at once, and
+lets a black or gray hole drop what it would forward. _arrival settles a
+control handler's result: it logs the tag checks the result counts and
+bills them as latency, unless the handler relayed a request; then it logs a
+drop, or sends the one message, or, at a source that accepted a route,
+sends the packets buffered for it. Node records (credits, route changes)
+are built, and a data hop calls a node's logger, only when a log is kept:
+the live metrics fold none of them. So are a data packet's send and
+delivery records, which the engine counts in place; every other engine
+record goes through _emit, which folds it live.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -41,6 +44,7 @@ protocol choice, which makes paired LARARP/baseline runs comparable.
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -92,6 +96,13 @@ MAX_CHAIN_LENGTH = 4_096
 # is the whole table, so a position epoch builds its rows once, and at 1,000
 # nodes a block is 16 rows.
 ROW_PAIRS = 16_384
+
+# The most rejected draws _make_flows makes, where a rejected draw pairs a
+# node with itself or repeats a flow. validate refuses a drawn flow_count
+# whose expected rejected draws exceed a fifth of it; then a run of 100,000
+# is many standard deviations out. Not a knob: no config in the tests, the
+# demos, the default sweeps or the benchmark workloads expects one.
+MAX_FLOW_REJECTS = 100_000
 
 
 @dataclass
@@ -170,6 +181,10 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
         flows = self.flow_count if self.flows is None else len(self.flows)
         if self.flows is None and flows > len(nodes) * (len(nodes) - 1):
             raise ScenarioError("flow_count exceeds the ordered node pairs")
+        if (self.flows is None and _expected_rejects(len(nodes), flows)
+                > MAX_FLOW_REJECTS / 5):
+            raise ScenarioError("flow_count is too close to the ordered node "
+                                "pairs to draw that many distinct flows")
         # attackers are drawn from the nodes no flow uses; drawn flows use at
         # least two, and Simulation checks the nodes they do use
         endpoints = 2 if self.flows is None else len(set().union(*self.flows))
@@ -193,6 +208,24 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
                 f"{key} schedules too much timer work: {total:.3g} node-steps, "
                 f"packets, flood hops and retry hops before sim_time, above "
                 f"{MAX_TIMER_EVENTS:,}")
+
+
+def _harmonic(m: int) -> float:
+    """The harmonic number 1 + 1/2 + ... + 1/m: summed up to 10 terms, and
+    past that by its asymptotic series, which is then good to 1e-8."""
+    if m <= 10:
+        return sum(1 / i for i in range(1, m + 1))
+    return (math.log(m) + 0.5772156649015329 + 1 / (2 * m)
+            - 1 / (12 * m ** 2) + 1 / (120 * m ** 4))
+
+
+def _expected_rejects(n: int, k: int) -> float:
+    """The expected rejected draws before _make_flows holds k distinct
+    ordered pairs of n nodes. Holding j of the N = n(n - 1) pairs, a draw
+    of one of the n² (src, dst) is accepted with probability (N - j) / n²,
+    so the sum over j < k is n² (H(N) - H(N - k)) - k."""
+    pairs = n * (n - 1)
+    return n * n * (_harmonic(pairs) - _harmonic(pairs - k)) - k
 
 
 def _is_point(position) -> bool:
@@ -252,11 +285,10 @@ class MobilityState:
     node since the last move computes every row of the block that holds it,
     in one numpy pass against copies of the positions taken once per
     change, and a block is at most ROW_PAIRS pair tests. Rows are kept
-    until step_mobility moves a node. ``_nbr_cache`` holds them, one slot
-    per node, and ``_nbr_cache = None`` marks them stale; whatever moves a
-    node must set it, so a new container is made after every move, and the
-    radio takes a container that is still current to mean that no node has
-    moved."""
+    until step_mobility moves a node. Whatever moves a node must drop the
+    rows and bump ``epoch``, the count of position changes: the radio
+    stamps each transmission with it, and an unchanged epoch means that no
+    node has moved since."""
 
     def __init__(self, config: ScenarioConfig, rng: random.Random):
         self.config = config
@@ -271,6 +303,7 @@ class MobilityState:
         self.waypoint: list[tuple[float, float] | None] = [None] * n
         self.speed = [0.0] * n
         self.paused_until = [config.pause_time] * n
+        self.epoch = 0
         self._nbr_cache: list[list[int] | None] | None = None
         self._node_count = n
         self._range_sq = config.radio_range ** 2
@@ -287,8 +320,9 @@ class MobilityState:
         return dx * dx + dy * dy <= self._range_sq
 
     def neighbors(self, node: int) -> list[int]:
-        """Ids within radio range of node, ascending (hence deterministic).
-        A returned row is never mutated; queued transmissions hold it."""
+        """Ids within radio range of node, ascending (hence deterministic),
+        as of the current epoch. A returned row is never mutated; queued
+        transmissions hold it."""
         rows = self._nbr_cache
         if rows is None:
             rows = self._nbr_cache = [None] * self._node_count
@@ -319,7 +353,7 @@ class MobilityState:
 
 def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
     """Advance every node by dt seconds of random-waypoint motion; neighbour
-    rows go stale only if some node was unpaused."""
+    rows go stale, and the epoch moves on, only if some node was unpaused."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = mobility.config
@@ -350,6 +384,7 @@ def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
             ys[i] += dy / dist * step
     if moved:
         mobility._nbr_cache = None
+        mobility.epoch += 1
 
 
 # -- engine -----------------------------------------------------------------
@@ -404,8 +439,7 @@ class Simulation:
                 log=self._node_logger(i))
 
         self.attackers: dict[int, Attacker] = {
-            i: Attacker(config, self.nodes[i],
-                        random.Random(f"{seed}:attack:{i}"))
+            i: Attacker(config, random.Random(f"{seed}:attack:{i}"))
             for i in attacker_ids}
         # the only attackers whose shim keeps a copy it is handed
         self._replayers = {i for i, a in self.attackers.items()
@@ -414,6 +448,9 @@ class Simulation:
         # engine-owned send buffers: node -> dest -> packets awaiting a route
         self.buffers: dict[int, dict[int, list[DataPacket]]] = {
             i: {} for i in node_ids}
+        # (node, role) -> the summed n of its hop-tag-verify records, which
+        # verify-final logs
+        self._checks: Counter[tuple[int, str]] = Counter()
 
         self._emit(0.0, -1, "run-start", protocol=config.protocol,
                    seed=seed, nodes=config.node_count,
@@ -432,14 +469,14 @@ class Simulation:
         else:
             pairs = []
             seen = set()
-            guard = 0
+            rejects = 0
             while len(pairs) < cfg.flow_count:
-                guard += 1
-                if guard > 10000:
-                    raise ScenarioError("cannot draw enough distinct flows")
                 src = self.rng_traffic.randrange(cfg.node_count)
                 dst = self.rng_traffic.randrange(cfg.node_count)
                 if src == dst or (src, dst) in seen:
+                    rejects += 1
+                    if rejects > MAX_FLOW_REJECTS:
+                        raise ScenarioError("cannot draw enough distinct flows")
                     continue
                 seen.add((src, dst))
                 pairs.append((src, dst))
@@ -549,8 +586,8 @@ class Simulation:
         _hop, a control message's receivers to one _transmission. Every
         receiver is in range now: a broadcast names the sender's row, a data
         packet goes to a hop that forward_data found in range, and a control
-        unicast passed in_range. The event keeps the neighbour rows current
-        now, so the arrival knows whether any node moved since. Airtime is
+        unicast passed in_range. The event keeps the mobility epoch of now,
+        so the arrival knows whether any node moved since. Airtime is
         the size on the channel: a data packet's payload_size, which is what
         wire_size gives for it, and wire_size of a control message."""
         if type(message) is DataPacket:
@@ -566,8 +603,7 @@ class Simulation:
             delay = attacker.processing_delay(delay)
         heapq.heappush(self._heap, (
             now + size * 8.0 / self.config.bandwidth + delay,
-            self._ordinal, event, (sender, to, message,
-                                   self.mobility._nbr_cache)))
+            self._ordinal, event, (sender, to, message, self.mobility.epoch)))
         self._ordinal += 1
 
     def _broadcast(self, sender: int, message, now: float):
@@ -582,7 +618,7 @@ class Simulation:
 
     # -- event handling ---------------------------------------------------
 
-    def _transmission(self, sender: int, receivers, message, rows,
+    def _transmission(self, sender: int, receivers, message, epoch,
                       now: float):
         """Hand one control transmission to each receiver in turn. A
         receiver in range whose record shows a valid request to be a
@@ -591,9 +627,9 @@ class Simulation:
         through unchanged. Only a replay attacker still gets every copy,
         since its shim captures what it is handed."""
         valid = wellformed(message)
-        # positions change only where the rows are dropped, so while the
-        # send's rows are current every receiver is still in range
-        still = rows is not None and rows is self.mobility._nbr_cache
+        # positions change only where the epoch moves on, so while it is
+        # the send's every receiver is still in range
+        still = epoch == self.mobility.epoch
         request = None
         if valid and type(message) is Rreq:    # the record it would leave
             source = message.source_id
@@ -642,14 +678,15 @@ class Simulation:
             for inject_at, copy_msg in attacker.capture(message, now):
                 self._push(inject_at, self._broadcast, receiver, copy_msg)
 
-        before = node.hop_tag_checks
-        before_dest = node.hop_tag_checks_as_dest
+        role, relayed = "path", False    # role: of the hop-tag-verify record
         if not valid:
             result = protocol.DROPPED[protocol.MALFORMED]
         elif kind is Rreq:
             if receiver == message.dest_id:
+                role = "dest"
                 result = node.handle_rreq_at_destination(message, sender, now)
             else:
+                relayed = True
                 result = node.handle_rreq(message, sender, now)
         else:   # an Rrep, the only other kind on the air
             if receiver == message.source_id:
@@ -657,12 +694,10 @@ class Simulation:
             else:
                 result = node.handle_rrep(message, sender, now)
 
-        if node.hop_tag_checks != before:
-            # a destination's checks move hop_tag_checks_as_dest as well
-            role = ("dest" if node.hop_tag_checks_as_dest != before_dest
-                    else "path")
-            self._emit(now, receiver, "hop-tag-verify",
-                       n=node.hop_tag_checks - before, role=role)
+        if result.charged:
+            self._checks[receiver, role] += result.charged
+            self._emit(now, receiver, "hop-tag-verify", n=result.charged,
+                       role=role)
 
         if attacker is not None:
             result = attacker.transform(result)
@@ -670,8 +705,10 @@ class Simulation:
             self._emit(now, receiver, "drop", msg=_MSG_KIND[kind],
                        reason=result.drop)
             return
-        # charged tag checks delay whatever the node sends in response
-        t_eff = now + result.charged * self.config.tag_verify_cost
+        # the one billing rule: the tag checks a handler made delay whatever
+        # it sends in response, but a relayed request's are not billed
+        t_eff = (now if relayed
+                 else now + result.charged * self.config.tag_verify_cost)
         if result.send is None:
             # the source accepted a route whose first hop it just found in
             # range: every packet buffered for it goes out
@@ -688,12 +725,11 @@ class Simulation:
         self._hop(None, node.id, packet, None, now)
 
     def _hop(self, prev_hop: int | None, node_id: int, packet: DataPacket,
-             rows, now: float):
+             epoch, now: float):
         """The data arrival: settle packet at node_id from prev_hop, lost if
-        node_id left range since the rows went stale. The source calls it
-        with prev_hop None and no rows; forward_data drops its broken route."""
-        if ((rows is None or rows is not self.mobility._nbr_cache)
-                and prev_hop is not None
+        node_id left range in a move since the send. The source calls it
+        with prev_hop None and no epoch; forward_data drops its broken route."""
+        if (epoch != self.mobility.epoch and prev_hop is not None
                 and not self.mobility.in_range(prev_hop, node_id)):
             self._emit(now, node_id, "data-lost", flow=packet.flow_id,
                        seq=packet.seq)
@@ -736,12 +772,12 @@ class Simulation:
     def _finalize(self):
         end = self.config.sim_time
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            for neighbor, cc in sorted(node.credits.items()):
+            for neighbor, cc in sorted(self.nodes[node_id].credits.items()):
                 self._emit(end, node_id, "ntt-final", neighbor=neighbor, cc=cc)
+            at_dest = self._checks[node_id, "dest"]
             self._emit(end, node_id, "verify-final",
-                       hop_tag_checks=node.hop_tag_checks,
-                       at_dest=node.hop_tag_checks_as_dest)
+                       hop_tag_checks=at_dest + self._checks[node_id, "path"],
+                       at_dest=at_dest)
         self._emit(end, -1, "run-end")
 
 

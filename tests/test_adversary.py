@@ -77,7 +77,7 @@ def test_tamper_always_detected_at_destination():
     for attempt in range(20):
         world = World.line(4, full_verification=True, seed=attempt)
         config = AttackConfig(attacker_kind="tamper", tamper_field="node_list")
-        attacker = Attacker(config, world.nodes[2], random.Random(attempt))
+        attacker = Attacker(config, random.Random(attempt))
 
         def tamper(msg, attacker=attacker):
             mutate_field(msg, attacker.config.tamper_field, attacker.rng)
@@ -91,7 +91,7 @@ def test_transform_leaves_its_input_alone():
     # packet, and no attack changes the shared drop results
     world = World.line(3)
     attacker = Attacker(AttackConfig(attacker_kind="blackhole"),
-                        world.nodes[1], random.Random(0))
+                        random.Random(0))
     packet = DataPacket(flow_id=0, seq=0, source_id=0, dest_id=2,
                         payload_size=512, route=[1], created_at=0.0)
     assert world.nodes[1].forward_data(packet, 0, 0.0) == 2
@@ -115,8 +115,7 @@ def test_tamperer_corrupts_what_it_broadcasts_and_what_it_unicasts(field):
     forwarded = [out["forward_results"][0], out["reverse_results"][0]]
     assert [result.to for result in forwarded] == [None, 1]
     attacker = Attacker(AttackConfig(attacker_kind="tamper",
-                                     tamper_field=field),
-                        None, random.Random(0))
+                                     tamper_field=field), random.Random(0))
     for result in forwarded:
         sent = copy.deepcopy(result.send)
         to, charged = result.to, result.charged
@@ -134,9 +133,9 @@ def test_tamperer_corrupts_what_it_broadcasts_and_what_it_unicasts(field):
 
 def test_rushing_attacker_has_zero_processing_delay():
     config = AttackConfig(attacker_kind="rushing")
-    attacker = Attacker(config, None, random.Random(0))
+    attacker = Attacker(config, random.Random(0))
     assert attacker.processing_delay(0.001) == 0.0
-    honest = Attacker(AttackConfig(attacker_kind="blackhole"), None,
+    honest = Attacker(AttackConfig(attacker_kind="blackhole"),
                       random.Random(0))
     assert honest.processing_delay(0.001) == 0.001
 
@@ -144,7 +143,7 @@ def test_rushing_attacker_has_zero_processing_delay():
 def test_replay_capture_schedules_injection():
     world = World.line(3)
     config = AttackConfig(attacker_kind="replay", replay_delay=0.5)
-    attacker = Attacker(config, world.nodes[1], random.Random(0))
+    attacker = Attacker(config, random.Random(0))
     rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
     injections = attacker.capture(rreq, now=1.0)
     assert len(injections) == 1
@@ -158,7 +157,7 @@ def test_replay_buffer_bounded(monkeypatch):
     monkeypatch.setattr(adversary, "REPLAY_BUFFER", 2)
     world = World.line(3)
     config = AttackConfig(attacker_kind="replay")
-    attacker = Attacker(config, world.nodes[1], random.Random(0))
+    attacker = Attacker(config, random.Random(0))
     for i in range(5):
         world.nodes[0].pending.clear()
         rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
@@ -223,7 +222,7 @@ def test_shim_passes_a_duplicate_drop_through(kind, field):
     # attacker's rng, and only a replay attacker's capture keeps anything
     world = World.line(3)
     attacker = Attacker(AttackConfig(attacker_kind=kind, tamper_field=field),
-                        world.nodes[1], random.Random(0))
+                        random.Random(0))
     rreq = world.nodes[0].initiate_route_discovery(2, 0.0, world.rng)
     sent = copy.deepcopy(rreq)
     state = attacker.rng.getstate()

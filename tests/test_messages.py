@@ -95,6 +95,17 @@ def test_source_equals_dest_rejected():
     assert exc.value.fieldname == "dest_id"
 
 
+@pytest.mark.parametrize("make,fieldname", [(make_rreq, "node_list"),
+                                             (make_rrep, "route")])
+@pytest.mark.parametrize("endpoint", ["source_id", "dest_id"])
+def test_relay_list_naming_an_endpoint_rejected(make, fieldname, endpoint):
+    m = make(random.Random(16))
+    getattr(m, fieldname)[1] = getattr(m, endpoint)
+    with pytest.raises(EncodingError) as exc:
+        m.validate()
+    assert exc.value.fieldname == fieldname
+
+
 def test_decode_rejects_trailing_bytes():
     rng = random.Random(7)
     data = encode(make_rreq(rng))
@@ -216,6 +227,13 @@ TAGS = st.binary(min_size=16, max_size=16)
 ID_LISTS = st.lists(U32S, max_size=6, unique=True)
 
 
+def relay_lists(source, dest):
+    """Id lists for a request's node_list or a reply's route, which never
+    name the message's own endpoints."""
+    return st.lists(U32S.filter(lambda i: i not in (source, dest)),
+                    max_size=6, unique=True)
+
+
 @st.composite
 def endpoints(draw):
     source = draw(U32S)
@@ -225,7 +243,7 @@ def endpoints(draw):
 @st.composite
 def rreqs(draw):
     source, dest = draw(endpoints())
-    node_list = draw(ID_LISTS)
+    node_list = draw(relay_lists(source, dest))
     return Rreq(source_id=source, dest_id=dest,
                 request_id=draw(st.binary(min_size=8, max_size=8)),
                 source_tag=draw(TAGS), verifier=(draw(U32S), draw(TAGS)),
@@ -237,7 +255,7 @@ def rreqs(draw):
 @st.composite
 def rreps(draw):
     source, dest = draw(endpoints())
-    route = draw(ID_LISTS)
+    route = draw(relay_lists(source, dest))
     return Rrep(source_id=source, dest_id=dest, request_id_tag=draw(TAGS),
                 route=route,
                 dest_tags=draw(st.lists(TAGS, min_size=len(route) + 1,

@@ -3,6 +3,7 @@ and its traced run (--trace 1) patches program functions by name; a
 renamed or moved function, or a config that validate() rejects, would only
 fail there."""
 
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -25,6 +26,27 @@ def test_every_traced_name_is_defined_where_it_is_patched():
     assert patches
     for owner, attr, _, _ in patches:
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+
+def test_every_result_field_a_traced_hook_reads_is_defined():
+    # the hooks on the control handlers read fields of the HandlerResult;
+    # a renamed field would fail only the traced run
+    class Result:
+        def __init__(self):
+            self.read = set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return 0
+
+    read = set()
+    for owner, attr, _, hook in load("spans")._patches():
+        if owner is protocol.NodeState and hook is not None:
+            result = Result()
+            hook(collections.defaultdict(int), result)
+            read |= result.read
+    assert read
+    assert read <= set(protocol.HandlerResult._fields)
 
 
 def test_every_benchmark_config_validates():

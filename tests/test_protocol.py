@@ -164,7 +164,7 @@ def test_honest_discovery_skips_hop_tag_checks(line5):
     out = line5.discover(0, 4, [1, 2, 3])
     assert out["route"] == [1, 2, 3]
     # all CC >= C_t, full_verification off: zero hop-tag verifications
-    assert line5.nodes[4].hop_tag_checks_as_dest == 0
+    assert out["dest_result"].charged == 0
 
 
 def test_forged_hop_tag_from_distrusted_node_punished():
@@ -205,7 +205,7 @@ def test_full_verification_checks_every_hop():
     world = World.line(5, full_verification=True)
     out = world.discover(0, 4, [1, 2, 3])
     assert out["route"] == [1, 2, 3]
-    assert world.nodes[4].hop_tag_checks_as_dest == 3
+    assert out["dest_result"].charged == 3
 
 
 # -- reverse path -----------------------------------------------------------
@@ -365,8 +365,8 @@ def test_baseline_verifies_everything_lararp_does_not():
     out_h = honest.discover(0, 6, [1, 2, 3, 4, 5])
     out_b = base.discover(0, 6, [1, 2, 3, 4, 5])
     assert out_h["route"] == out_b["route"] == [1, 2, 3, 4, 5]
-    assert honest.nodes[6].hop_tag_checks_as_dest == 0
-    assert base.nodes[6].hop_tag_checks_as_dest == 5
+    assert out_h["dest_result"].charged == 0
+    assert out_b["dest_result"].charged == 5
 
 
 def test_baseline_forwarder_counts_the_checks_it_makes():
@@ -377,7 +377,7 @@ def test_baseline_forwarder_counts_the_checks_it_makes():
     base = World.line(5, mode="baseline")
     out = base.discover(0, 4, [1, 2, 3], mutate_rreq=(1, forge))
     assert (out["dropped_at"], out["drop"]) == (3, BAD_HOP_TAG)
-    assert base.nodes[3].hop_tag_checks == 1
+    assert out["forward_results"][-1].charged == 1
 
 
 def test_baseline_has_no_trust_table():
@@ -416,6 +416,20 @@ def test_both_protocols_drop_tampered_rreq():
             assert world.nodes[1].handle_rreq(rreq, 0, 0.0).drop == MALFORMED
 
 
+@pytest.mark.parametrize("mode", ["lararp", "baseline"])
+def test_request_naming_its_destination_is_malformed(mode):
+    # a relay that appends the destination's own id, with any tag, leaves a
+    # request the radio refuses; at the default credits the destination
+    # used to skip its own vetted id and then look up the key (3, 3)
+    def append_dest(msg):
+        msg.node_list.append(3)
+        msg.hop_tags.append(bytes(16))
+
+    world = World.line(4, mode=mode)
+    out = world.discover(0, 3, [1, 2], mutate_rreq=(1, append_dest))
+    assert (out["dropped_at"], out["drop"]) == (3, MALFORMED)
+
+
 def test_selective_verification_equivalence():
     # under every protocol the accepted routes agree when nobody misbehaves;
     # only LARARP without full verification skips the vetted hops
@@ -425,7 +439,7 @@ def test_selective_verification_equivalence():
         world = World.line(6, mode=mode, full_verification=flag)
         out = world.discover(0, 5, [1, 2, 3, 4])
         assert out["route"] == [1, 2, 3, 4]
-        assert world.nodes[5].hop_tag_checks_as_dest == dest_checks
+        assert out["dest_result"].charged == dest_checks
 
 
 def test_unknown_protocol_is_rejected_at_the_node():

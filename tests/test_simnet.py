@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from lararp import crypto, protocol, simnet
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
-from lararp.messages import DataPacket, Rreq, wellformed
+from lararp.messages import DataPacket, Rreq, wellformed, wire_size
 from lararp.metrics import MetricsCollector, fold
 from lararp.protocol import DROPPED, DUPLICATE, NodeState
 from lararp.simnet import (MAX_CHAIN_LENGTH, MobilityState, ScenarioConfig,
@@ -65,14 +66,27 @@ def test_validate_rejects_flows_and_positions_outside_the_network(overrides):
 @pytest.mark.parametrize("overrides", [
     dict(node_count=2, flow_count=3),
     dict(node_count=10, flow_count=5, attacker_count=9),
-    dict(node_count=10, flows=[(0, 1), (2, 3)], attacker_count=7)],
+    dict(node_count=10, flows=[(0, 1), (2, 3)], attacker_count=7),
+    dict(node_count=100, flow_count=9900, flow_rate=0.01, sim_time=1.0)],
     ids=["3-flows-at-2-nodes", "9-attackers-at-10-nodes",
-         "7-attackers-besides-4-endpoints"])
+         "7-attackers-besides-4-endpoints", "every-ordered-pair-drawn"])
 def test_validate_rejects_what_the_engine_cannot_build(overrides):
     # each of these passed validate, and Simulation refused it only when
     # it drew the flows or the attackers
     with pytest.raises(ScenarioError):
         ScenarioConfig(**overrides).validate()
+
+
+def test_more_drawn_flows_than_the_old_draw_limit_build():
+    # the draw used to give up after 10,000 draws in all, so any drawn
+    # flow_count above that passed validate and then failed to build; only
+    # rejected draws count against the limit, and this one rejects ~1,600
+    config = ScenarioConfig(node_count=200, area_width=1414.0,
+                            area_height=1414.0, flow_count=10001,
+                            flow_rate=0.01, sim_time=1.0)
+    config.validate()
+    flows = Simulation(config).flows
+    assert len({(f.src, f.dst) for f in flows}) == len(flows) == 10001
 
 
 def test_scenario_parse_round_trip():
@@ -370,10 +384,10 @@ def test_rows_last_until_a_node_moves():
     rows = [mob.neighbors(i) for i in range(n)]
     cache = mob._nbr_cache
     step_mobility(mob, 0.1, rng)          # every node is still paused
-    assert mob._nbr_cache is cache
+    assert mob._nbr_cache is cache and mob.epoch == 0
     assert all(mob.neighbors(i) is rows[i] for i in range(n))
     step_mobility(mob, 0.2, rng)          # every node starts to move
-    assert mob._nbr_cache is None
+    assert mob._nbr_cache is None and mob.epoch == 1
     mob.neighbors(0)
     assert mob._nbr_cache is not cache
 
@@ -428,6 +442,64 @@ def test_k_hop_delay_is_linear():
     assert all(abs(d - 3 * PER_HOP_DELAY) < 1e-12 for d in steady)
 
 
+def test_engine_bills_every_check_but_a_relayed_requests(monkeypatch):
+    # static baseline 4-node line 0-1-2-3 and one discovery 0 -> 3: relay 2
+    # checks node 1's hop tag, and its forward still leaves at once; the
+    # destination checks both hop tags, and its reply leaves that much later
+    arrivals = []
+    real = Simulation._arrival
+
+    def arrival(self, sender, receiver, message, *args):
+        arrivals.append((sender, receiver, type(message).__name__,
+                         message, args[1]))
+        return real(self, sender, receiver, message, *args)
+
+    monkeypatch.setattr(Simulation, "_arrival", arrival)
+    cfg = ScenarioConfig(node_count=4,
+                         positions=[(i * 200.0, 0.0) for i in range(4)],
+                         flows=[(0, 3)], flow_count=1, pause_time=100.0,
+                         sim_time=1.0, protocol="baseline")
+    sim = Simulation(cfg, keep_log=True)
+    sim.run()
+    at = {(s, r, kind): (message, now)
+          for s, r, kind, message, now in arrivals}
+    assert len(at) == len(arrivals)    # one discovery, each copy once
+
+    def next_arrival(sent_at, message):
+        return (sent_at + wire_size(message) * 8.0 / cfg.bandwidth
+                + cfg.processing_delay)
+
+    checks = {(r.node, r.time): r.details for r in sim.records
+              if r.kind == "hop-tag-verify"}
+    _, relay_now = at[1, 2, "Rreq"]
+    forwarded, dest_now = at[2, 3, "Rreq"]
+    reply, back_now = at[3, 2, "Rrep"]
+    assert checks[2, relay_now] == {"n": 1, "role": "path"}
+    assert dest_now == next_arrival(relay_now, forwarded)
+    assert checks[3, dest_now] == {"n": 2, "role": "dest"}
+    assert back_now == next_arrival(dest_now + 2 * cfg.tag_verify_cost, reply)
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(protocol="baseline"),
+    small_config(attacker_count=3, attacker_kind="tamper",
+                 tamper_field="hop_tags", full_verification=True)],
+    ids=["baseline", "lararp-tamper"])
+def test_verify_final_folds_the_hop_tag_verify_records(cfg):
+    _, records = run(cfg, keep_log=True)
+    total, at_dest = Counter(), Counter()
+    for r in records:
+        if r.kind == "hop-tag-verify":
+            total[r.node] += r.details["n"]
+            if r.details["role"] == "dest":
+                at_dest[r.node] += r.details["n"]
+    assert at_dest
+    assert [(r.node, r.details) for r in records
+            if r.kind == "verify-final"] == [
+        (node, {"hop_tag_checks": total[node], "at_dest": at_dest[node]})
+        for node in range(cfg.node_count)]
+
+
 def test_broadcast_reaches_all_neighbors():
     cfg = ScenarioConfig(node_count=4,
                          positions=[(0, 0), (100, 0), (0, 100), (100, 100)],
@@ -458,6 +530,7 @@ def test_range_checked_per_receiver_at_arrival():
     (arrival, *_), = sim._heap
     sim.mobility.x[3] = 500.0    # node 3 leaves range before the arrival
     sim.mobility._nbr_cache = None
+    sim.mobility.epoch += 1
     sim.run()
     at_arrival = [r for r in sim.records if r.time == arrival]
     lost = [r for r in at_arrival if r.kind == "control-lost"]
@@ -747,6 +820,7 @@ def test_seen_request_after_a_move_is_range_tested_at_the_radio(
     sim.nodes[1]._accept(rreq)
     sim.mobility.x[1] = x
     sim.mobility._nbr_cache = None
+    sim.mobility.epoch += 1
     del sim.records[:]
     sim._transmission(0, (1,), rreq, None, 0.01)
     assert [r.kind for r in sim.records] == [logged]
@@ -1014,6 +1088,7 @@ def test_in_flight_loss_when_receiver_moves_away():
                         payload_size=512, route=[], created_at=0.0)
     sim.mobility.x[1] = 500.0    # receiver out of range before arrival
     sim.mobility._nbr_cache = None
+    sim.mobility.epoch += 1
     sim._hop(0, 1, packet, None, 0.01)
     assert any(r.kind == "data-lost" for r in sim.records)
 
@@ -1030,6 +1105,7 @@ def line_run_with_move(node, x):
     def move(now):
         sim.mobility.x[node] = x
         sim.mobility._nbr_cache = None
+        sim.mobility.epoch += 1
 
     sim._push(2.0, move)
     sim.run()
