@@ -1,5 +1,9 @@
 """Wire-level message records and their canonical byte encoding.
 
+Each message is a slotted dataclass record: it has exactly its declared
+fields and no __dict__, so assigning a mistyped field name raises
+AttributeError rather than adding an attribute nothing reads.
+
 Every authentication tag in the protocol is computed over bytes produced
 here, so the encoding is fixed-endian (big-endian), fixed-width, and
 injective on well-formed messages. The byte layout is documented in
@@ -52,7 +56,7 @@ class EncodingError(ValueError):
         super().__init__(f"{fieldname}: {detail}" if detail else fieldname)
 
 
-@dataclass
+@dataclass(slots=True)
 class Rreq:
     """Route request, flooded source -> destination.
 
@@ -95,7 +99,7 @@ class Rreq:
             raise EncodingError("verifier", "secret must be 16 bytes")
 
 
-@dataclass
+@dataclass(slots=True)
 class Rrep:
     """Route reply, unicast back along the reverse of the accumulated route.
 
@@ -132,7 +136,7 @@ class Rrep:
                 raise EncodingError("reverse_hop_tags", "tag must be 16 bytes")
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     """CBR payload carrier, source-routed along an accepted route."""
     flow_id: int

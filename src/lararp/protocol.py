@@ -333,6 +333,10 @@ class NodeState:
         reason, charged = self._check_reply(rrep, pos, not self.keeps_credit)
         if reason is not None:
             return HandlerResult(drop=reason, charged=charged)
+        if rrep.source_id not in self.chains:
+            # no destination tags a reply to a source outside the network,
+            # and this node holds no key to tag one toward it
+            return HandlerResult(drop=MALFORMED, charged=charged)
         forwarded = Rrep(source_id=rrep.source_id, dest_id=rrep.dest_id,
                          request_id_tag=rrep.request_id_tag,
                          route=list(rrep.route), dest_tags=list(rrep.dest_tags),
@@ -394,17 +398,18 @@ class NodeState:
         invalidates this node's own route to the destination."""
         if prev_hop is not None:
             self._credit(prev_hop, FORWARDED)
-        if self.id == packet.dest_id:
+        me, dest = self.id, packet.dest_id
+        if me == dest:
             return None
         route = packet.route
-        if self.id == packet.source_id:
-            next_hop = route[0] if route else packet.dest_id
-        elif self.id in route:
-            pos = route.index(self.id)
-            next_hop = route[pos + 1] if pos + 1 < len(route) else packet.dest_id
+        if me == packet.source_id:
+            next_hop = route[0] if route else dest
+        elif me in route:
+            pos = route.index(me)
+            next_hop = route[pos + 1] if pos + 1 < len(route) else dest
         else:
             return NOT_IN_ROUTE
-        if not self.in_range_fn(self.id, next_hop):
-            self.invalidate_route(packet.dest_id)
+        if not self.in_range_fn(me, next_hop):
+            self.invalidate_route(dest)
             return LINK_BREAK
         return next_hop

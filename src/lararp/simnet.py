@@ -7,33 +7,36 @@ args)``, and the loop calls ``handler(*args, time)``. The ordinal breaks
 time ties in push order. _send puts each message on the air as one event: a
 data hop is the event ``_hop``, which is the data arrival, and a control
 broadcast or unicast is one ``_transmission`` naming its receivers, and one
-validation. A neighbour row is the receiver set of a broadcast, taken at
-send time, and nothing else builds one: a unicast hop tests its one link
-with MobilityState.in_range. Rows are built a block of consecutive ids at a
-time, in one numpy pass: the first broadcast after a move from any node of
-a block builds every row of that block (the whole table up to 128 nodes),
-and the rows last until a node moves. A move bumps the mobility epoch, and
-_send stamps each event with the epoch. The transmission decides once
-whether a control message is well-formed, then hands it to each receiver in
-turn, in ascending id order; every receiver drops a malformed one as it
-arrives, without a handler call. That verdict holds for every receiver
-because they all get the same object and nothing changes a message once it
-is on the air. Every receiver is in range when a message is sent, and an
-arrival re-tests the range only if the epoch has moved on since. A receiver
-in range drops a duplicate request at the radio, with one lookup of its
-record of the source and no handler call, so no duplicate reaches a handler
-except at a replay attacker, whose shim captures every copy it is handed.
-_hop settles a data hop, at an arrival or at the source: it logs a loss, a
-delivery or a drop, reports a relay's link break to the source at once, and
-lets a black or gray hole drop what it would forward. _arrival settles a
-control handler's result: it logs the tag checks the result counts and
-bills them as latency, unless the handler relayed a request; then it logs a
-drop, or sends the one message, or, at a source that accepted a route,
-sends the packets buffered for it. Node records (credits, route changes)
-are built, and a data hop calls a node's logger, only when a log is kept:
-the live metrics fold none of them. So are a data packet's send and
-delivery records, which the engine counts in place; every other engine
-record goes through _emit, which folds it live.
+validation. The event's time is now plus airtime plus the sender's entry in
+send_delay, a per-node table built at set-up from processing_delay through
+each attacker's Attacker.processing_delay (a rushing sender's entry is 0),
+so no send looks up an attacker. A neighbour row is the receiver set of a
+broadcast, taken at send time, and nothing else builds one: a unicast hop
+tests its one link with MobilityState.in_range. Rows are built a block of
+consecutive ids at a time, in one numpy pass: the first broadcast after a
+move from any node of a block builds every row of that block (the whole
+table up to 128 nodes), and the rows last until a node moves. A move bumps
+the mobility epoch, and _send stamps each event with the epoch. The
+transmission decides once whether a control message is well-formed, then
+hands it to each receiver in turn, in ascending id order; every receiver
+drops a malformed one as it arrives, without a handler call. That verdict
+holds for every receiver because they all get the same object and nothing
+changes a message once it is on the air. Every receiver is in range when a
+message is sent, and an arrival re-tests the range only if the epoch has
+moved on since. A receiver in range drops a duplicate request at the radio,
+with one lookup of its record of the source and no handler call, so no
+duplicate reaches a handler except at a replay attacker, whose shim
+captures every copy it is handed. _hop settles a data hop, at an arrival or
+at the source: it logs a loss, a delivery or a drop, reports a relay's link
+break to the source at once, and lets a black or gray hole drop what it
+would forward. _arrival settles a control handler's result: it logs the tag
+checks the result counts and bills them as latency, unless the handler
+relayed a request; then it logs a drop, or sends the one message, or, at a
+source that accepted a route, sends the packets buffered for it. Node
+records (credits, route changes) are built, and a data hop calls a node's
+logger, only when a log is kept: the live metrics fold none of them. So are
+a data packet's send and delivery records, which the engine counts in
+place; every other engine record goes through _emit, which folds it live.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -80,6 +83,12 @@ MAX_TIMER_EVENTS = 10_000_000
 # demos, the default sweeps and the benchmark workloads has 1,000 nodes,
 # 100 times fewer.
 MAX_NODES = 100_000
+
+# The most flows a config may ask for, drawn or listed: set-up keeps about
+# 170-320 B per flow, so this caps flow state at about 30 MB. Not a knob:
+# the largest flow set in the tests (10,001 drawn flows) is about 10 times
+# smaller.
+MAX_FLOWS = 100_000
 
 # The longest key chain a config may ask for. A first reveal hashes and keeps
 # a whole chain, about 57 B a secret, and one check of a revealed secret
@@ -163,6 +172,10 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.flow_count < 1:
             raise ScenarioError("flow_count must be at least 1")
+        flows = self.flow_count if self.flows is None else len(self.flows)
+        if flows > MAX_FLOWS:
+            raise ScenarioError(f"flow_count (or the flows list) must be at "
+                                f"most {MAX_FLOWS:,}")
         if not 1 <= self.chain_length <= MAX_CHAIN_LENGTH:
             raise ScenarioError(
                 f"chain_length must be in [1, {MAX_CHAIN_LENGTH:,}]")
@@ -178,7 +191,6 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
                 raise ScenarioError("positions must cover every node")
             if not all(map(_is_point, self.positions)):
                 raise ScenarioError("each position must be two finite numbers")
-        flows = self.flow_count if self.flows is None else len(self.flows)
         if self.flows is None and flows > len(nodes) * (len(nodes) - 1):
             raise ScenarioError("flow_count exceeds the ordered node pairs")
         if (self.flows is None and _expected_rejects(len(nodes), flows)
@@ -316,7 +328,8 @@ class MobilityState:
         agree at the boundary."""
         if a == b or not 0 <= b < self._node_count:
             return False
-        dx, dy = self.x[a] - self.x[b], self.y[a] - self.y[b]
+        x, y = self.x, self.y
+        dx, dy = x[a] - x[b], y[a] - y[b]
         return dx * dx + dy * dy <= self._range_sq
 
     def neighbors(self, node: int) -> list[int]:
@@ -389,7 +402,7 @@ def step_mobility(mobility: MobilityState, dt: float, rng: random.Random):
 
 # -- engine -----------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Flow:
     index: int
     src: int
@@ -444,6 +457,11 @@ class Simulation:
         # the only attackers whose shim keeps a copy it is handed
         self._replayers = {i for i, a in self.attackers.items()
                            if a.kind == REPLAY}
+        # node -> the delay _send adds to each message it puts on the air
+        self.send_delay = [config.processing_delay] * config.node_count
+        for i, attacker in self.attackers.items():
+            self.send_delay[i] = attacker.processing_delay(
+                config.processing_delay)
 
         # engine-owned send buffers: node -> dest -> packets awaiting a route
         self.buffers: dict[int, dict[int, list[DataPacket]]] = {
@@ -538,10 +556,9 @@ class Simulation:
 
     def _flow_tick(self, flow: _Flow, now: float):
         cfg = self.config
-        packet = DataPacket(flow_id=flow.index, seq=flow.next_seq,
-                            source_id=flow.src, dest_id=flow.dst,
-                            payload_size=cfg.packet_size, route=[],
-                            created_at=now)
+        # flow_id, seq, source_id, dest_id, payload_size, route, created_at
+        packet = DataPacket(flow.index, flow.next_seq, flow.src, flow.dst,
+                            cfg.packet_size, [], now)
         flow.next_seq += 1
         self.collector.data_sent += 1
         if self.keep_log:
@@ -582,14 +599,16 @@ class Simulation:
 
     def _send(self, sender: int, to, message, now: float):
         """Put message on the air at now with one heap push: after airtime
-        and processing delay, a data packet's one receiver to gets the event
-        _hop, a control message's receivers to one _transmission. Every
-        receiver is in range now: a broadcast names the sender's row, a data
-        packet goes to a hop that forward_data found in range, and a control
-        unicast passed in_range. The event keeps the mobility epoch of now,
-        so the arrival knows whether any node moved since. Airtime is
-        the size on the channel: a data packet's payload_size, which is what
-        wire_size gives for it, and wire_size of a control message."""
+        and the sender's send delay, a data packet's one receiver to gets
+        the event _hop, a control message's receivers to one _transmission.
+        The send delay is the sender's entry in send_delay, built at set-up:
+        processing_delay, or 0 at a rushing attacker. Every receiver is in
+        range now: a broadcast names the sender's row, a data packet goes to
+        a hop that forward_data found in range, and a control unicast passed
+        in_range. The event keeps the mobility epoch of now, so the arrival
+        knows whether any node moved since. Airtime is the size on the
+        channel: a data packet's payload_size, which is what wire_size gives
+        for it, and wire_size of a control message."""
         if type(message) is DataPacket:
             event, size = self._hop, message.payload_size
         else:
@@ -597,12 +616,8 @@ class Simulation:
             self._emit(self.now, sender, "control-send",
                        msg=_MSG_KIND[type(message)],
                        src=message.source_id, dst=message.dest_id)
-        delay = self.config.processing_delay
-        attacker = self.attackers.get(sender)
-        if attacker is not None:
-            delay = attacker.processing_delay(delay)
         heapq.heappush(self._heap, (
-            now + size * 8.0 / self.config.bandwidth + delay,
+            now + size * 8.0 / self.config.bandwidth + self.send_delay[sender],
             self._ordinal, event, (sender, to, message, self.mobility.epoch)))
         self._ordinal += 1
 
@@ -729,17 +744,18 @@ class Simulation:
         """The data arrival: settle packet at node_id from prev_hop, lost if
         node_id left range in a move since the send. The source calls it
         with prev_hop None and no epoch; forward_data drops its broken route."""
-        if (epoch != self.mobility.epoch and prev_hop is not None
-                and not self.mobility.in_range(prev_hop, node_id)):
+        mobility = self.mobility
+        if (epoch != mobility.epoch and prev_hop is not None
+                and not mobility.in_range(prev_hop, node_id)):
             self._emit(now, node_id, "data-lost", flow=packet.flow_id,
                        seq=packet.seq)
             return
-        node = self.nodes[node_id]
-        hop = node.forward_data(packet, prev_hop, now)
+        hop = self.nodes[node_id].forward_data(packet, prev_hop, now)
         if hop is None:
             delay = now - packet.created_at
-            self.collector.data_delivered += 1
-            self.collector.delay_sum += delay
+            collector = self.collector
+            collector.data_delivered += 1
+            collector.delay_sum += delay
             if self.keep_log:
                 self.records.append(Record(now, node_id, "data-delivered", {
                     "flow": packet.flow_id, "seq": packet.seq, "delay": delay}))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -62,9 +63,19 @@ def test_round_trip_property(hops, rng):
 def test_request_id_injectivity_witness():
     rng = random.Random(3)
     a = make_rreq(rng)
-    b = Rreq(**{**a.__dict__})
+    b = dataclasses.replace(a)
     b.request_id = bytes(16 - x for x in range(8))
     assert encode(a) != encode(b)
+
+
+@pytest.mark.parametrize("make", [make_rreq, make_rrep, make_data])
+def test_messages_are_slotted(make):
+    # a mistyped field name fails loudly instead of adding an attribute
+    # that no encoder, validator or handler reads
+    message = make(random.Random(5))
+    assert not hasattr(message, "__dict__")
+    with pytest.raises(AttributeError):
+        message.node_lsit = []
 
 
 def test_encoding_error_names_field():

@@ -1,15 +1,17 @@
 import copy
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import World
 from lararp import crypto
-from lararp.crypto import verify_reveal, verify_tag
-from lararp.messages import DataPacket, hop_digest
+from lararp.crypto import compute_tag, verify_reveal, verify_tag
+from lararp.messages import (DataPacket, Rrep, Rreq, hop_digest,
+                             reverse_tag_payload, rrep_body, wellformed)
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
                              BAD_VERIFIER, DUPLICATE, FORWARDED, LINK_BREAK,
-                             MALFORMED, MISBEHAVED, NOT_IN_ROUTE,
-                             PROHIBITED, REPLAY)
+                             MALFORMED, MISBEHAVED, NOT_IN_ROUTE, PROTOCOLS,
+                             PROHIBITED, REPLAY, HandlerResult)
 
 
 # -- discovery construction -------------------------------------------------
@@ -446,3 +448,129 @@ def test_unknown_protocol_is_rejected_at_the_node():
     # a name outside PROTOCOLS must not run as some hybrid
     with pytest.raises(ValueError, match="dsr"):
         World.line(2, mode="dsr")
+
+
+# -- every well-formed message, at every node ---------------------------------
+
+# a World(6)'s keys and chains depend only on its ids, so this one supplies
+# the real tags and chain elements every fresh World(6) would accept
+WORLD6 = World(6)
+OUTSIDE = (6, 0x7FFF0000, 2 ** 32 - 1)
+MESSAGE_IDS = st.sampled_from([*range(6), *OUTSIDE])
+TAGS = st.binary(min_size=16, max_size=16)
+CREDIT_SETTINGS = (dict(), dict(initial_credit=0, credit_threshold=1),
+                   dict(full_verification=True))
+
+
+def real_tag(a, b, payload):
+    """The tag under key(a, b), or None where one of them has no key."""
+    if a == b or max(a, b) >= WORLD6.n:
+        return None
+    return compute_tag(WORLD6.shared_keys.key(a, b), payload)
+
+
+def tags(draw, real):
+    """The real tag, where there is one, three draws in four; else a random
+    one. Most messages then carry some real tags, and many carry only real
+    ones, so handlers get past their checks as well as fail them."""
+    if real is not None and draw(st.integers(0, 3)):
+        return real
+    return draw(TAGS)
+
+
+@st.composite
+def ends_and_relays(draw):
+    source, dest = draw(st.lists(MESSAGE_IDS, min_size=2, max_size=2,
+                                 unique=True))
+    relays = draw(st.lists(MESSAGE_IDS.filter(
+        lambda i: i not in (source, dest)), max_size=4, unique=True))
+    return source, dest, relays
+
+
+@st.composite
+def requests(draw):
+    source, dest, relays = draw(ends_and_relays())
+    request_id = draw(st.binary(min_size=8, max_size=8))
+    if source < WORLD6.n and draw(st.integers(0, 3)):
+        index = draw(st.integers(0, WORLD6.chains[source].length))
+        verifier = (index, WORLD6.chains[source].elements[index])
+    else:
+        verifier = (draw(st.integers(0, 40)), draw(TAGS))
+    rreq = Rreq(source, dest, request_id,
+                tags(draw, real_tag(source, dest, request_id)), verifier,
+                relays, [])
+    rreq.hop_tags = [tags(draw, real_tag(node, dest, hop_digest(rreq, k)))
+                     for k, node in enumerate(relays)]
+    return rreq
+
+
+def first_request_id(world, source, dest):
+    """Start source's discovery of dest in world; the request id it draws
+    is the same in every fresh World, whatever the two nodes."""
+    return world.nodes[source].initiate_route_discovery(
+        dest, 0.0, world.rng).request_id
+
+
+FIRST_REQUEST_ID = first_request_id(World(6), 0, 1)
+
+
+@st.composite
+def replies(draw):
+    """A reply, and whether its source (if in the network) starts a
+    discovery of its destination before the reply reaches anyone; a real
+    request_id_tag answers that discovery."""
+    source, dest, route = draw(ends_and_relays())
+    rrep = Rrep(source, dest,
+                tags(draw, real_tag(source, dest, FIRST_REQUEST_ID)), route,
+                [])
+    body = rrep_body(rrep)
+    rrep.dest_tags = [tags(draw, real_tag(node, dest, body))
+                      for node in [source, *route]]
+    # the tags of the hops nearest the destination, in traversal order;
+    # shrinking the draw toward 0 keeps every one, as a source would hold
+    held = len(route) - draw(st.integers(0, len(route)))
+    rrep.reverse_hop_tags = [
+        tags(draw, real_tag(hop, source, reverse_tag_payload(rrep, hop)))
+        for hop in route[::-1][:held]]
+    return rrep, draw(st.booleans())
+
+
+def dispatched(node, message):
+    """The handler Simulation._arrival hands message to at node."""
+    if type(message) is Rreq:
+        return (node.handle_rreq_at_destination
+                if node.id == message.dest_id else node.handle_rreq)
+    return (node.handle_rrep_at_source if node.id == message.source_id
+            else node.handle_rrep)
+
+
+def reply_from_outside():
+    """A reply to source 6, outside the network, whose destination tags
+    are real: relay 1 holds every reverse tag it should, none, and used to
+    raise KeyError looking up the key it shares with the source."""
+    rrep = Rrep(6, 0, bytes(16), [2, 1], [])
+    body = rrep_body(rrep)
+    rrep.dest_tags = [bytes(16), real_tag(2, 0, body), real_tag(1, 0, body)]
+    return rrep
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(requests().map(lambda m: (m, False)), replies()),
+       st.integers(0, 5))
+@example((reply_from_outside(), False), 0)
+def test_every_node_settles_every_wellformed_message(drawn, sender):
+    # a message no attacker kind sends can still reach a handler, so every
+    # well-formed request and reply, in the role the radio dispatches it
+    # to, ends in a result
+    message, discovering = drawn
+    assert wellformed(message)
+    for mode in PROTOCOLS:
+        for knobs in CREDIT_SETTINGS:
+            world = World(6, mode=mode, **knobs)
+            if discovering and max(message.source_id,
+                                   message.dest_id) < world.n:
+                assert first_request_id(world, message.source_id,
+                                        message.dest_id) == FIRST_REQUEST_ID
+            for node in world.nodes.values():
+                result = dispatched(node, message)(message, sender, 0.0)
+                assert isinstance(result, HandlerResult)

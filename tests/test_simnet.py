@@ -13,12 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from lararp import crypto, protocol, simnet
 from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
-from lararp.messages import DataPacket, Rreq, wellformed, wire_size
+from lararp.messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from lararp.metrics import MetricsCollector, fold
 from lararp.protocol import DROPPED, DUPLICATE, NodeState
-from lararp.simnet import (MAX_CHAIN_LENGTH, MobilityState, ScenarioConfig,
-                           ScenarioError, Simulation, parse_scenario, run,
-                           step_mobility)
+from lararp.simnet import (MAX_CHAIN_LENGTH, MAX_FLOWS, MobilityState,
+                           ScenarioConfig, ScenarioError, Simulation,
+                           parse_scenario, run, step_mobility)
 
 PER_HOP_DELAY = 512 * 8 / 2_000_000 + 0.001    # serialization + processing
 
@@ -87,6 +87,20 @@ def test_more_drawn_flows_than_the_old_draw_limit_build():
     config.validate()
     flows = Simulation(config).flows
     assert len({(f.src, f.dst) for f in flows}) == len(flows) == 10001
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(node_count=100_000, area_width=31623.0, area_height=31623.0,
+         flow_count=10 ** 7, flow_rate=1e-6, sim_time=1.0, rreq_retries=0),
+    dict(node_count=1000, area_width=3162.0, area_height=3162.0,
+         flows=[(s, d) for s in range(101) for d in range(1000)
+                if s != d][:MAX_FLOWS + 1], flow_rate=1e-6, sim_time=1.0)],
+    ids=["ten-million-drawn", "one-too-many-listed"])
+def test_validate_caps_the_flows(overrides):
+    # the drawn config passed validate, and its flows alone would need
+    # 2-3 GB; validate builds nothing, so neither config is built here
+    with pytest.raises(ScenarioError, match="flow_count"):
+        ScenarioConfig(**overrides).validate()
 
 
 def test_scenario_parse_round_trip():
@@ -440,6 +454,37 @@ def test_k_hop_delay_is_linear():
               if r.kind == "data-delivered" and r.details["seq"] > 5]
     assert steady
     assert all(abs(d - 3 * PER_HOP_DELAY) < 1e-12 for d in steady)
+
+
+def test_send_delay_table_times_every_send(monkeypatch):
+    # static line 0-1-2 and flow 0 -> 2: the one rushing attacker can only
+    # be node 1, and its sends skip the processing delay every other
+    # node's pay; _send's one push carries the table's entry
+    pushed = []
+    real = Simulation._send
+
+    def send(self, sender, to, message, now):
+        real(self, sender, to, message, now)
+        entry, = (e for e in self._heap if e[1] == self._ordinal - 1)
+        airtime = wire_size(message) * 8.0 / self.config.bandwidth
+        pushed.append((sender, type(message), entry[0], now, airtime))
+
+    monkeypatch.setattr(Simulation, "_send", send)
+    cfg = ScenarioConfig(node_count=3,
+                         positions=[(i * 200.0, 0.0) for i in range(3)],
+                         flows=[(0, 2)], flow_count=1, pause_time=100.0,
+                         sim_time=1.0, attacker_count=1,
+                         attacker_kind="rushing")
+    sim = Simulation(cfg)
+    delay = cfg.processing_delay
+    assert list(sim.attackers) == [1]
+    assert sim.send_delay == [delay, 0.0, delay]
+    sim.run()
+    kinds = {(sender, kind) for sender, kind, *_ in pushed}
+    assert {(0, Rreq), (0, DataPacket), (1, Rreq), (1, Rrep),
+            (1, DataPacket)} <= kinds
+    for sender, _, at, now, airtime in pushed:
+        assert at == now + airtime + (0.0 if sender == 1 else delay)
 
 
 def test_engine_bills_every_check_but_a_relayed_requests(monkeypatch):
