@@ -10,13 +10,17 @@ injective on well-formed messages. The byte layout is documented in
 docs/wire_format.md.
 
 Each fixed header packs with one precompiled struct.Struct, and each list
-of node ids with one Struct call for the whole list. A bytes field of the
-wrong length raises EncodingError wherever it is packed: struct's "s"
-format would pad or truncate it, so every packer checks the lengths first.
+of node ids with one Struct call for the whole list; decode unpacks with
+the same Structs. A bytes field of the wrong length raises EncodingError
+wherever it is packed: struct's "s" format would pad or truncate it, so
+every packer checks the lengths first. validate refuses what the wire
+cannot carry (an int outside u32, a list past a u16 count), so no packer
+raises struct.error on a well-formed message.
 """
 
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .crypto import SECRET_LEN, TAG_LEN
 
@@ -25,6 +29,11 @@ RREP_TYPE = 0x02
 DATA_TYPE = 0x03
 
 REQUEST_ID_LEN = 8
+
+# The wire's bounds: an id, a verifier index and a data-header int pack as
+# u32, and each list's length as a u16 count.
+U32_MAX = 0xFFFF_FFFF
+MAX_LIST = 0xFFFF
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
@@ -63,6 +72,7 @@ class Rreq:
     hop_tags[k] is computed by node_list[k] over hop_digest(self, k) under
     the key it shares with the destination.
     """
+    kind: ClassVar[str] = "rreq"   # its msg in the event log
     source_id: int
     dest_id: int
     request_id: bytes
@@ -72,18 +82,28 @@ class Rreq:
     hop_tags: list[bytes] = field(default_factory=list)
 
     def validate(self):
-        if self.source_id == self.dest_id:
+        source, dest, node_list = self.source_id, self.dest_id, self.node_list
+        if source == dest:
             raise EncodingError("dest_id", "equals source_id")
+        if not 0 <= source <= U32_MAX:
+            raise EncodingError("source_id", "outside u32")
+        if not 0 <= dest <= U32_MAX:
+            raise EncodingError("dest_id", "outside u32")
         self._check_lengths()
-        if self.verifier[0] < 0:
-            raise EncodingError("verifier", "negative index")
-        if len(self.hop_tags) != len(self.node_list):
+        if not 0 <= self.verifier[0] <= U32_MAX:
+            raise EncodingError("verifier", "index outside u32")
+        if len(self.hop_tags) != len(node_list):
             raise EncodingError("hop_tags", "length differs from node_list")
-        ids = set(self.node_list)
-        if len(ids) != len(self.node_list):
+        if len(node_list) > MAX_LIST:
+            raise EncodingError("node_list", f"more than {MAX_LIST:,} ids")
+        ids = set(node_list)
+        if len(ids) != len(node_list):
             raise EncodingError("node_list", "duplicate node id")
-        if self.source_id in ids or self.dest_id in ids:
+        if source in ids or dest in ids:
             raise EncodingError("node_list", "names the source or destination")
+        for node in node_list:
+            if not 0 <= node <= U32_MAX:
+                raise EncodingError("node_list", "id outside u32")
         for tag in self.hop_tags:
             if len(tag) != TAG_LEN:
                 raise EncodingError("hop_tags", "tag must be 16 bytes")
@@ -107,6 +127,7 @@ class Rrep:
     to the source, dest_tags[1+i] to route[i]. reverse_hop_tags grows by one
     per reverse hop traversed, in traversal order (route[-1] first).
     """
+    kind: ClassVar[str] = "rrep"   # its msg in the event log
     source_id: int
     dest_id: int
     request_id_tag: bytes
@@ -115,17 +136,28 @@ class Rrep:
     reverse_hop_tags: list[bytes] = field(default_factory=list)
 
     def validate(self):
-        if self.source_id == self.dest_id:
+        source, dest, route = self.source_id, self.dest_id, self.route
+        if source == dest:
             raise EncodingError("dest_id", "equals source_id")
+        if not 0 <= source <= U32_MAX:
+            raise EncodingError("source_id", "outside u32")
+        if not 0 <= dest <= U32_MAX:
+            raise EncodingError("dest_id", "outside u32")
         if len(self.request_id_tag) != TAG_LEN:
             raise EncodingError("request_id_tag", "must be 16 bytes")
-        ids = set(self.route)
-        if len(ids) != len(self.route):
+        ids = set(route)
+        if len(ids) != len(route):
             raise EncodingError("route", "duplicate node id")
-        if self.source_id in ids or self.dest_id in ids:
+        if source in ids or dest in ids:
             raise EncodingError("route", "names the source or destination")
-        if len(self.dest_tags) != len(self.route) + 1:
+        for node in route:
+            if not 0 <= node <= U32_MAX:
+                raise EncodingError("route", "id outside u32")
+        if len(self.dest_tags) != len(route) + 1:
             raise EncodingError("dest_tags", "need one tag per route node plus source")
+        # dest_tags is the longest list, so this bounds route's count too
+        if len(self.dest_tags) > MAX_LIST:
+            raise EncodingError("dest_tags", f"more than {MAX_LIST:,} tags")
         for tag in self.dest_tags:
             if len(tag) != TAG_LEN:
                 raise EncodingError("dest_tags", "tag must be 16 bytes")
@@ -152,8 +184,16 @@ class DataPacket:
             raise EncodingError("payload_size", "must be positive")
         if self.source_id == self.dest_id:
             raise EncodingError("dest_id", "equals source_id")
+        for name in ("flow_id", "seq", "source_id", "dest_id", "payload_size"):
+            if not 0 <= getattr(self, name) <= U32_MAX:
+                raise EncodingError(name, "outside u32")
+        if len(self.route) > MAX_LIST:
+            raise EncodingError("route", f"more than {MAX_LIST:,} ids")
         if len(set(self.route)) != len(self.route):
             raise EncodingError("route", "duplicate node id")
+        for node in self.route:
+            if not 0 <= node <= U32_MAX:
+                raise EncodingError("route", "id outside u32")
 
 
 def wellformed(message) -> bool:
@@ -220,57 +260,52 @@ def encode(message) -> bytes:
     raise EncodingError("type", f"unknown message {type(message).__name__}")
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _unpack(packer: struct.Struct, data: bytes, pos: int) -> tuple[tuple, int]:
+    """packer's fields at data[pos:], and the offset past them."""
+    if pos + packer.size > len(data):
+        raise EncodingError("length", "truncated message")
+    return packer.unpack_from(data, pos), pos + packer.size
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise EncodingError("length", "truncated message")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
+def _unpack_ids(data: bytes, pos: int) -> tuple[list[int], int]:
+    (count,), pos = _unpack(_U16, data, pos)
+    ids, pos = _unpack(_IDS[count], data, pos)
+    return list(ids), pos
 
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
 
-    def ids(self) -> list[int]:
-        return [self.u32() for _ in range(self.u16())]
-
-    def tags(self) -> list[bytes]:
-        return [self.take(TAG_LEN) for _ in range(self.u16())]
-
-    def done(self):
-        if self.pos != len(self.data):
-            raise EncodingError("length", "trailing bytes")
+def _unpack_tags(data: bytes, pos: int) -> tuple[list[bytes], int]:
+    (count,), pos = _unpack(_U16, data, pos)
+    end = pos + count * TAG_LEN
+    if end > len(data):
+        raise EncodingError("length", "truncated message")
+    return [data[i:i + TAG_LEN] for i in range(pos, end, TAG_LEN)], end
 
 
 def decode(data: bytes):
-    """Inverse of encode; validates the result."""
+    """Inverse of encode, reading each header with the Struct encode packs it
+    with and each id list with _IDS; validates the result."""
     if not data:
         raise EncodingError("type", "empty message")
-    r = _Reader(data)
-    kind = r.take(1)[0]
-    if kind == RREQ_TYPE:
-        msg = Rreq(source_id=r.u32(), dest_id=r.u32(),
-                   request_id=r.take(REQUEST_ID_LEN), source_tag=r.take(TAG_LEN),
-                   verifier=(r.u32(), r.take(SECRET_LEN)),
-                   node_list=r.ids(), hop_tags=r.tags())
-    elif kind == RREP_TYPE:
-        msg = Rrep(source_id=r.u32(), dest_id=r.u32(),
-                   request_id_tag=r.take(TAG_LEN), route=r.ids(),
-                   dest_tags=r.tags(), reverse_hop_tags=r.tags())
-    elif kind == DATA_TYPE:
-        msg = DataPacket(flow_id=r.u32(), seq=r.u32(), source_id=r.u32(),
-                         dest_id=r.u32(), payload_size=r.u32(), route=r.ids(),
-                         created_at=_F64.unpack(r.take(8))[0])
+    if data[0] == RREQ_TYPE:
+        (_, *header, index, secret), pos = _unpack(_RREQ_HEADER, data, 0)
+        node_list, pos = _unpack_ids(data, pos)
+        hop_tags, pos = _unpack_tags(data, pos)
+        msg = Rreq(*header, (index, secret), node_list, hop_tags)
+    elif data[0] == RREP_TYPE:
+        (_, *header), pos = _unpack(_RREP_HEADER, data, 0)
+        route, pos = _unpack_ids(data, pos)
+        dest_tags, pos = _unpack_tags(data, pos)
+        reverse_hop_tags, pos = _unpack_tags(data, pos)
+        msg = Rrep(*header, route, dest_tags, reverse_hop_tags)
+    elif data[0] == DATA_TYPE:
+        (_, *header), pos = _unpack(_DATA_HEADER, data, 0)
+        route, pos = _unpack_ids(data, pos)
+        (created_at,), pos = _unpack(_F64, data, pos)
+        msg = DataPacket(*header, route, created_at)
     else:
-        raise EncodingError("type", f"unknown type byte {kind:#x}")
-    r.done()
+        raise EncodingError("type", f"unknown type byte {data[0]:#x}")
+    if pos != len(data):
+        raise EncodingError("length", "trailing bytes")
     msg.validate()
     return msg
 

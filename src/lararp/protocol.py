@@ -4,11 +4,13 @@ verify-everything baseline checks every hop tag instead. Both run the same
 code path.
 
 Handlers are synchronous and engine-agnostic: they receive the current
-time. A control handler returns a HandlerResult: the one message it sends
-and its receiver, or a drop reason, and charged, the count of every
-expensive tag verification it made. The engine logs that count, and bills
-it as processing latency for every result but a relayed request's, so a
-baseline forwarder's path checks are counted and not billed. forward_data
+time. DISPATCH names the handler for each control type at a relay and at
+the node the message travels to. A control handler returns a
+HandlerResult: the one message it sends and its receiver, or a drop
+reason, and charged, the count of every expensive tag verification it
+made. The engine logs that count, and bills it as processing latency where
+DISPATCH says so: for every result but a relayed request's, so a baseline
+forwarder's path checks are counted and not billed. forward_data
 returns a data hop's next hop id, None on delivery, or the drop reason; on
 a LINK_BREAK drop the node invalidates its own route, and the engine tells
 the packet's source.
@@ -74,9 +76,21 @@ class HandlerResult(NamedTuple):
     send: Rreq | Rrep | None = None
     to: int | None = None    # send's one receiver; None broadcasts it
     drop: str | None = None
-    charged: int = 0         # every expensive tag verification made; the
-                             # engine bills all but a relayed request's
+    charged: int = 0         # every expensive tag verification made;
+                             # DISPATCH says whether the engine bills them
 
+
+# The one dispatch of a well-formed control message: its type -> the field
+# naming the node it travels to, then for a relay and for that node the
+# (NodeState handler by name, role of its hop-tag-verify record, whether the
+# engine bills its checks). The engine looks the handler up on the node at
+# call time, so a patched NodeState method is the one that runs.
+DISPATCH = {
+    Rreq: ("dest_id", ("handle_rreq", "path", False),
+           ("handle_rreq_at_destination", "dest", True)),
+    Rrep: ("source_id", ("handle_rrep", "path", True),
+           ("handle_rrep_at_source", "path", True)),
+}
 
 # One shared result per reason for every drop with no checks.
 DROPPED = {reason: HandlerResult(drop=reason) for reason in (

@@ -29,14 +29,16 @@ duplicate reaches a handler except at a replay attacker, whose shim
 captures every copy it is handed. _hop settles a data hop, at an arrival or
 at the source: it logs a loss, a delivery or a drop, reports a relay's link
 break to the source at once, and lets a black or gray hole drop what it
-would forward. _arrival settles a control handler's result: it logs the tag
-checks the result counts and bills them as latency, unless the handler
-relayed a request; then it logs a drop, or sends the one message, or, at a
-source that accepted a route, sends the packets buffered for it. Node
-records (credits, route changes) are built, and a data hop calls a node's
-logger, only when a log is kept: the live metrics fold none of them. So are
-a data packet's send and delivery records, which the engine counts in
-place; every other engine record goes through _emit, which folds it live.
+would forward. _arrival calls the handler that protocol.DISPATCH names for
+the message's type and the receiver's role, with one lookup, and settles
+its result: it logs the tag checks the result counts and, where the table
+bills them, delays the response by them; then it logs a drop, or sends the
+one message, or, at a source that accepted a route, sends the packets
+buffered for it. Node records (credits, route changes) are built, and a
+data hop calls a node's logger, only when a log is kept: the live metrics
+fold none of them. So are a data packet's send and delivery records, which
+the engine counts in place; every other engine record goes through _emit,
+which folds it live.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -56,17 +58,14 @@ from . import crypto, protocol
 from .adversary import (AttackConfig, Attacker, CONTROL_FLOOD, KINDS, REPLAY,
                         TAMPER_FIELDS)
 from .eventlog import Record
-from .messages import DataPacket, Rrep, Rreq, wellformed, wire_size
+from .messages import DataPacket, Rreq, wellformed, wire_size
 from .metrics import MetricsCollector, MetricsReport
-from .protocol import NodeState, ProtocolConfig
+from .protocol import DISPATCH, NodeState, ProtocolConfig
 
 
 class ScenarioError(ValueError):
     pass
 
-
-# the name of a control message's kind in the event log
-_MSG_KIND = {Rreq: "rreq", Rrep: "rrep"}
 
 # The most timer work a config may schedule before sim_time, in units of
 # one node-step of a mobility tick, one CBR packet, or one hop of a flood
@@ -119,7 +118,9 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
     """A run's settings; the protocol's own knobs are those of
     ProtocolConfig and the attack settings those of AttackConfig, and
     every node and attacker reads them from this config. validate is
-    the one check of every setting."""
+    the one check of every setting but one: it counts two flow endpoints
+    for drawn flows, so Simulation's set-up raises ScenarioError when the
+    drawn flows leave fewer non-endpoint nodes than attacker_count."""
     node_count: int = 100
     area_width: float = 1000.0
     area_height: float = 1000.0
@@ -613,8 +614,7 @@ class Simulation:
             event, size = self._hop, message.payload_size
         else:
             event, size = self._transmission, wire_size(message)
-            self._emit(self.now, sender, "control-send",
-                       msg=_MSG_KIND[type(message)],
+            self._emit(self.now, sender, "control-send", msg=message.kind,
                        src=message.source_id, dst=message.dest_id)
         heapq.heappush(self._heap, (
             now + size * 8.0 / self.config.bandwidth + self.send_delay[sender],
@@ -626,8 +626,7 @@ class Simulation:
 
     def _unicast(self, sender: int, receiver: int, message, now: float):
         if not self.mobility.in_range(sender, receiver):
-            self._emit(now, sender, "control-lost",
-                       msg=_MSG_KIND[type(message)])
+            self._emit(now, sender, "control-lost", msg=message.kind)
             return
         self._send(sender, (receiver,), message, now)
 
@@ -670,7 +669,7 @@ class Simulation:
                 if self.keep_log:
                     self.records.append(Record(
                         time=now, node=receiver, kind="drop",
-                        details={"msg": "rreq",
+                        details={"msg": message.kind,
                                  "reason": protocol.DUPLICATE}))
                 continue
             self._arrival(sender, receiver, message, valid, now, still)
@@ -683,32 +682,22 @@ class Simulation:
         whose result is settled here. valid is the transmission's verdict on
         it, and still says that no node has moved since it was sent, so the
         range test is skipped."""
-        kind = type(message)
         if not (still or self.mobility.in_range(sender, receiver)):
-            self._emit(now, receiver, "control-lost", msg=_MSG_KIND[kind])
+            self._emit(now, receiver, "control-lost", msg=message.kind)
             return
         node = self.nodes[receiver]
         attacker = self.attackers.get(receiver)
         if attacker is not None:
             for inject_at, copy_msg in attacker.capture(message, now):
                 self._push(inject_at, self._broadcast, receiver, copy_msg)
-
-        role, relayed = "path", False    # role: of the hop-tag-verify record
         if not valid:
-            result = protocol.DROPPED[protocol.MALFORMED]
-        elif kind is Rreq:
-            if receiver == message.dest_id:
-                role = "dest"
-                result = node.handle_rreq_at_destination(message, sender, now)
-            else:
-                relayed = True
-                result = node.handle_rreq(message, sender, now)
-        else:   # an Rrep, the only other kind on the air
-            if receiver == message.source_id:
-                result = node.handle_rrep_at_source(message, sender, now)
-            else:
-                result = node.handle_rrep(message, sender, now)
+            self._emit(now, receiver, "drop", msg=message.kind,
+                       reason=protocol.MALFORMED)
+            return
 
+        to, relay, end = DISPATCH[type(message)]
+        name, role, billed = end if receiver == getattr(message, to) else relay
+        result = getattr(node, name)(message, sender, now)
         if result.charged:
             self._checks[receiver, role] += result.charged
             self._emit(now, receiver, "hop-tag-verify", n=result.charged,
@@ -717,13 +706,13 @@ class Simulation:
         if attacker is not None:
             result = attacker.transform(result)
         if result.drop is not None:
-            self._emit(now, receiver, "drop", msg=_MSG_KIND[kind],
+            self._emit(now, receiver, "drop", msg=message.kind,
                        reason=result.drop)
             return
         # the one billing rule: the tag checks a handler made delay whatever
-        # it sends in response, but a relayed request's are not billed
-        t_eff = (now if relayed
-                 else now + result.charged * self.config.tag_verify_cost)
+        # it sends in response, where DISPATCH bills them
+        t_eff = (now + result.charged * self.config.tag_verify_cost if billed
+                 else now)
         if result.send is None:
             # the source accepted a route whose first hop it just found in
             # range: every packet buffered for it goes out

@@ -89,6 +89,19 @@ def test_main_rejects_missing_file(tmp_path, capsys):
     assert rc == 1
 
 
+def test_main_run_reports_a_config_refused_at_set_up(tmp_path, capsys):
+    # validate accepts it; the attackers outnumber the nodes the drawn flows
+    # leave free, which only the simulation's set-up can count
+    scenario = tmp_path / "crowded.txt"
+    scenario.write_text("node_count = 10\nflow_count = 5\n"
+                        "attacker_count = 8\nsim_time = 1.0\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(scenario), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-endpoint" in err
+    assert not out.exists()
+
+
 def test_sweep_configs_attacker_grid():
     base = ScenarioConfig(node_count=40)
     configs = sweep_configs("attackers", base, seeds=[1, 2])
@@ -145,3 +158,14 @@ def test_run_sweep_row_counts_and_order(tmp_path):
     # per-run rows reproduce an independent execution of the same config
     report, _ = run(configs[0])
     assert rows[1] == csv_row(configs[0], report)
+
+
+def test_parallel_sweep_writes_the_serial_csv(tmp_path):
+    # runs finish in any order across worker processes; the CSV is written
+    # in sweep_configs order all the same
+    base = ScenarioConfig(node_count=20, sim_time=2.0, flow_count=2)
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    run_sweep("pausetime", base, seeds=[1], output_path=str(serial))
+    run_sweep("pausetime", base, seeds=[1], output_path=str(parallel),
+              workers=2)
+    assert parallel.read_bytes() == serial.read_bytes()

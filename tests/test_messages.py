@@ -129,6 +129,70 @@ def test_decode_rejects_unknown_type():
         decode(b"\x7f\x00")
 
 
+@pytest.mark.parametrize("make", [make_rreq, make_rrep, make_data])
+def test_decode_refuses_every_proper_prefix(make):
+    # every field is present in every encoding, empty lists by their count,
+    # so a cut anywhere leaves a header, a count or a list short
+    for hops in (0, 3):
+        data = encode(make(random.Random(17), hops=hops))
+        for cut in range(len(data)):
+            with pytest.raises(EncodingError):
+                decode(data[:cut])
+
+
+def _with(make, fieldname, value):
+    message = make(random.Random(18))
+    if fieldname in ("node_list", "route"):
+        getattr(message, fieldname)[0] = value
+    elif fieldname == "verifier":
+        message.verifier = (value, message.verifier[1])
+    else:
+        setattr(message, fieldname, value)
+    return message
+
+
+def _long(make):
+    """A message whose longest list holds 65,536 entries, one past what a
+    u16 count holds."""
+    message = make(random.Random(19))
+    ids = list(range(1000, 1000 + 2 ** 16))
+    if make is make_rreq:
+        message.node_list, message.hop_tags = ids, [bytes(16)] * len(ids)
+    elif make is make_rrep:
+        message.route, message.reverse_hop_tags = ids[:-1], []
+        message.dest_tags = [bytes(16)] * len(ids)
+    else:
+        message.route = ids
+    return message
+
+
+@pytest.mark.parametrize("message,fieldname", [
+    (_with(make_rreq, "source_id", 2 ** 32), "source_id"),
+    (_with(make_rreq, "dest_id", -1), "dest_id"),
+    (_with(make_rreq, "verifier", 2 ** 32), "verifier"),
+    (_with(make_rreq, "node_list", 2 ** 32), "node_list"),
+    (_with(make_rreq, "node_list", -1), "node_list"),
+    (_with(make_rrep, "source_id", -1), "source_id"),
+    (_with(make_rrep, "dest_id", 2 ** 32), "dest_id"),
+    (_with(make_rrep, "route", 2 ** 32), "route"),
+    (_with(make_data, "flow_id", 2 ** 32), "flow_id"),
+    (_with(make_data, "seq", -1), "seq"),
+    (_with(make_data, "source_id", 2 ** 32), "source_id"),
+    (_with(make_data, "payload_size", 2 ** 32), "payload_size"),
+    (_with(make_data, "route", -1), "route"),
+    (_long(make_rreq), "node_list"), (_long(make_rrep), "dest_tags"),
+    (_long(make_data), "route")],
+    ids=["rreq-source", "rreq-dest", "rreq-verifier-index", "rreq-node",
+         "rreq-negative-node", "rrep-source", "rrep-dest", "rrep-route",
+         "data-flow", "data-seq", "data-source", "data-payload-size",
+         "data-route", "rreq-65536-ids", "rrep-65536-tags", "data-65536-ids"])
+def test_an_int_or_list_the_wire_cannot_carry_is_malformed(message, fieldname):
+    # each used to pass validate and then raise struct.error from its packer
+    with pytest.raises(EncodingError) as exc:
+        encode(message)
+    assert exc.value.fieldname == fieldname
+
+
 # -- hop digest -------------------------------------------------------------
 
 def test_hop_digest_single_hop():

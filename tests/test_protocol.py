@@ -9,9 +9,10 @@ from lararp.crypto import compute_tag, verify_reveal, verify_tag
 from lararp.messages import (DataPacket, Rrep, Rreq, hop_digest,
                              reverse_tag_payload, rrep_body, wellformed)
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
-                             BAD_VERIFIER, DUPLICATE, FORWARDED, LINK_BREAK,
-                             MALFORMED, MISBEHAVED, NOT_IN_ROUTE, PROTOCOLS,
-                             PROHIBITED, REPLAY, HandlerResult)
+                             BAD_VERIFIER, DISPATCH, DROPPED, DUPLICATE,
+                             FORWARDED, LINK_BREAK, MALFORMED, MISBEHAVED,
+                             NOT_IN_ROUTE, PROTOCOLS, PROHIBITED, REPLAY,
+                             HandlerResult, NodeState)
 
 
 # -- discovery construction -------------------------------------------------
@@ -432,6 +433,21 @@ def test_request_naming_its_destination_is_malformed(mode):
     assert (out["dropped_at"], out["drop"]) == (3, MALFORMED)
 
 
+@pytest.mark.parametrize("mode", PROTOCOLS)
+@pytest.mark.parametrize("ids", [[2 ** 32], [-1], [2 ** 32 + 2, 1]])
+def test_a_request_naming_an_id_the_wire_cannot_carry_is_malformed(mode, ids):
+    # an id outside u32 has no encoding; a baseline relay and every
+    # destination hash it into a hop digest, and used to raise struct.error
+    world = World.line(4, mode=mode)
+    rreq = world.nodes[0].initiate_route_discovery(3, 0.0, world.rng)
+    rreq.node_list = ids
+    rreq.hop_tags = [bytes(16)] * len(ids)
+    for handler in (world.nodes[2].handle_rreq,
+                    world.nodes[3].handle_rreq_at_destination):
+        assert World.hand(handler, rreq, 1, 0.0) is DROPPED[MALFORMED]
+    assert not wellformed(rreq)
+
+
 def test_selective_verification_equivalence():
     # under every protocol the accepted routes agree when nobody misbehaves;
     # only LARARP without full verification skips the vetted hops
@@ -537,11 +553,19 @@ def replies(draw):
 
 def dispatched(node, message):
     """The handler Simulation._arrival hands message to at node."""
-    if type(message) is Rreq:
-        return (node.handle_rreq_at_destination
-                if node.id == message.dest_id else node.handle_rreq)
-    return (node.handle_rrep_at_source if node.id == message.source_id
-            else node.handle_rrep)
+    to, relay, end = DISPATCH[type(message)]
+    name, _, _ = end if node.id == getattr(message, to) else relay
+    return getattr(node, name)
+
+
+def test_every_handler_the_dispatch_names_is_a_node_method():
+    # the engine resolves each name on the node at call time, so a typo in
+    # the table would surface only when that role first gets a message
+    for to, *handlers in DISPATCH.values():
+        assert to in ("source_id", "dest_id")
+        for name, role, billed in handlers:
+            assert callable(getattr(NodeState, name))
+            assert role in ("path", "dest") and isinstance(billed, bool)
 
 
 def reply_from_outside():

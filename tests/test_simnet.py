@@ -15,7 +15,7 @@ from lararp.adversary import KINDS, TAMPER_FIELDS
 from lararp.eventlog import format_log
 from lararp.messages import DataPacket, Rrep, Rreq, wellformed, wire_size
 from lararp.metrics import MetricsCollector, fold
-from lararp.protocol import DROPPED, DUPLICATE, NodeState
+from lararp.protocol import DISPATCH, DROPPED, DUPLICATE, NodeState
 from lararp.simnet import (MAX_CHAIN_LENGTH, MAX_FLOWS, MobilityState,
                            ScenarioConfig, ScenarioError, Simulation,
                            parse_scenario, run, step_mobility)
@@ -75,6 +75,18 @@ def test_validate_rejects_what_the_engine_cannot_build(overrides):
     # it drew the flows or the attackers
     with pytest.raises(ScenarioError):
         ScenarioConfig(**overrides).validate()
+
+
+def test_attackers_past_the_drawn_endpoints_are_refused_at_set_up():
+    # validate counts two endpoints for any drawn flow set; five drawn flows
+    # use at least three of the ten nodes, which leaves fewer than eight
+    # for attackers, and Simulation refuses the config once it has drawn them
+    config = ScenarioConfig(node_count=10, flow_count=5, attacker_count=8,
+                            sim_time=1.0)
+    config.validate()
+    with pytest.raises(ScenarioError,
+                       match="not enough non-endpoint nodes for attackers"):
+        Simulation(config)
 
 
 def test_more_drawn_flows_than_the_old_draw_limit_build():
@@ -827,8 +839,8 @@ def test_a_control_handler_sends_one_message_or_drops(monkeypatch, kind,
             return result
         return handler
 
-    names = ("handle_rreq", "handle_rreq_at_destination", "handle_rrep",
-             "handle_rrep_at_source")
+    names = [name for _, *handlers in DISPATCH.values()
+             for name, _, _ in handlers]
     for name in names:
         monkeypatch.setattr(NodeState, name, checked(getattr(NodeState, name)))
     Simulation(ScenarioConfig(sim_time=20.0, attacker_count=10,
