@@ -21,8 +21,6 @@ def _format_value(v) -> str:
         return repr(v)
     if isinstance(v, (list, tuple)):
         return ";".join(str(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     return str(v)
 
 
@@ -37,10 +35,6 @@ def format_log(records) -> str:
 
 
 def _parse_value(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
     if ";" in text:
         return [_parse_value(x) for x in text.split(";")]
     try:

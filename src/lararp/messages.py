@@ -16,6 +16,11 @@ wherever it is packed: struct's "s" format would pad or truncate it, so
 every packer checks the lengths first. validate refuses what the wire
 cannot carry (an int outside u32, a list past a u16 count), so no packer
 raises struct.error on a well-formed message.
+
+Each wire rule is written once, as one check per field shape: two distinct
+u32 endpoints, an id list, a tag list and a fixed-width bytes field. Each
+validate calls these, and keeps only the rules that tie one field to
+another and the bounds of its other ints.
 """
 
 import struct
@@ -65,6 +70,46 @@ class EncodingError(ValueError):
         super().__init__(f"{fieldname}: {detail}" if detail else fieldname)
 
 
+def _check_endpoints(source: int, dest: int):
+    """Two distinct u32 endpoints."""
+    if source == dest:
+        raise EncodingError("dest_id", "equals source_id")
+    if not (0 <= source <= U32_MAX and 0 <= dest <= U32_MAX):
+        name = "dest_id" if 0 <= source <= U32_MAX else "source_id"
+        raise EncodingError(name, "outside u32")
+
+
+def _check_ids(name: str, ids: list[int], endpoints: tuple[int, ...] = ()):
+    """An id list: at most a u16 count of distinct u32 ids, naming none of
+    endpoints."""
+    if len(ids) > MAX_LIST:
+        raise EncodingError(name, f"more than {MAX_LIST:,} ids")
+    distinct = set(ids)
+    if len(distinct) != len(ids):
+        raise EncodingError(name, "duplicate node id")
+    if not distinct.isdisjoint(endpoints):
+        raise EncodingError(name, "names the source or destination")
+    for node in ids:
+        if not 0 <= node <= U32_MAX:
+            raise EncodingError(name, "id outside u32")
+
+
+def _check_tags(name: str, tags: list[bytes]):
+    """A tag list: at most a u16 count of TAG_LEN-byte tags."""
+    if len(tags) > MAX_LIST:
+        raise EncodingError(name, f"more than {MAX_LIST:,} tags")
+    for tag in tags:
+        if len(tag) != TAG_LEN:
+            raise EncodingError(name, f"tag must be {TAG_LEN} bytes")
+
+
+def _check_width(name: str, value: bytes, width: int):
+    """A fixed-width bytes field, which struct's "s" format would pad or
+    truncate if it were any other length."""
+    if len(value) != width:
+        raise EncodingError(name, f"must be {width} bytes")
+
+
 @dataclass(slots=True)
 class Rreq:
     """Route request, flooded source -> destination.
@@ -82,41 +127,20 @@ class Rreq:
     hop_tags: list[bytes] = field(default_factory=list)
 
     def validate(self):
-        source, dest, node_list = self.source_id, self.dest_id, self.node_list
-        if source == dest:
-            raise EncodingError("dest_id", "equals source_id")
-        if not 0 <= source <= U32_MAX:
-            raise EncodingError("source_id", "outside u32")
-        if not 0 <= dest <= U32_MAX:
-            raise EncodingError("dest_id", "outside u32")
+        _check_endpoints(self.source_id, self.dest_id)
         self._check_lengths()
         if not 0 <= self.verifier[0] <= U32_MAX:
             raise EncodingError("verifier", "index outside u32")
-        if len(self.hop_tags) != len(node_list):
+        if len(self.hop_tags) != len(self.node_list):
             raise EncodingError("hop_tags", "length differs from node_list")
-        if len(node_list) > MAX_LIST:
-            raise EncodingError("node_list", f"more than {MAX_LIST:,} ids")
-        ids = set(node_list)
-        if len(ids) != len(node_list):
-            raise EncodingError("node_list", "duplicate node id")
-        if source in ids or dest in ids:
-            raise EncodingError("node_list", "names the source or destination")
-        for node in node_list:
-            if not 0 <= node <= U32_MAX:
-                raise EncodingError("node_list", "id outside u32")
-        for tag in self.hop_tags:
-            if len(tag) != TAG_LEN:
-                raise EncodingError("hop_tags", "tag must be 16 bytes")
+        _check_ids("node_list", self.node_list, (self.source_id, self.dest_id))
+        _check_tags("hop_tags", self.hop_tags)
 
     def _check_lengths(self):
-        """The header's bytes fields, which rreq_header packs with struct's
-        "s" format; that would pad or truncate a field of another length."""
-        if len(self.request_id) != REQUEST_ID_LEN:
-            raise EncodingError("request_id", "must be 8 bytes")
-        if len(self.source_tag) != TAG_LEN:
-            raise EncodingError("source_tag", "must be 16 bytes")
-        if len(self.verifier[1]) != SECRET_LEN:
-            raise EncodingError("verifier", "secret must be 16 bytes")
+        """The header's bytes fields, which rreq_header packs."""
+        _check_width("request_id", self.request_id, REQUEST_ID_LEN)
+        _check_width("source_tag", self.source_tag, TAG_LEN)
+        _check_width("verifier", self.verifier[1], SECRET_LEN)
 
 
 @dataclass(slots=True)
@@ -136,36 +160,15 @@ class Rrep:
     reverse_hop_tags: list[bytes] = field(default_factory=list)
 
     def validate(self):
-        source, dest, route = self.source_id, self.dest_id, self.route
-        if source == dest:
-            raise EncodingError("dest_id", "equals source_id")
-        if not 0 <= source <= U32_MAX:
-            raise EncodingError("source_id", "outside u32")
-        if not 0 <= dest <= U32_MAX:
-            raise EncodingError("dest_id", "outside u32")
-        if len(self.request_id_tag) != TAG_LEN:
-            raise EncodingError("request_id_tag", "must be 16 bytes")
-        ids = set(route)
-        if len(ids) != len(route):
-            raise EncodingError("route", "duplicate node id")
-        if source in ids or dest in ids:
-            raise EncodingError("route", "names the source or destination")
-        for node in route:
-            if not 0 <= node <= U32_MAX:
-                raise EncodingError("route", "id outside u32")
-        if len(self.dest_tags) != len(route) + 1:
+        _check_endpoints(self.source_id, self.dest_id)
+        _check_width("request_id_tag", self.request_id_tag, TAG_LEN)
+        _check_ids("route", self.route, (self.source_id, self.dest_id))
+        if len(self.dest_tags) != len(self.route) + 1:
             raise EncodingError("dest_tags", "need one tag per route node plus source")
-        # dest_tags is the longest list, so this bounds route's count too
-        if len(self.dest_tags) > MAX_LIST:
-            raise EncodingError("dest_tags", f"more than {MAX_LIST:,} tags")
-        for tag in self.dest_tags:
-            if len(tag) != TAG_LEN:
-                raise EncodingError("dest_tags", "tag must be 16 bytes")
+        _check_tags("dest_tags", self.dest_tags)
         if len(self.reverse_hop_tags) > len(self.route):
             raise EncodingError("reverse_hop_tags", "more tags than reverse hops")
-        for tag in self.reverse_hop_tags:
-            if len(tag) != TAG_LEN:
-                raise EncodingError("reverse_hop_tags", "tag must be 16 bytes")
+        _check_tags("reverse_hop_tags", self.reverse_hop_tags)
 
 
 @dataclass(slots=True)
@@ -182,18 +185,12 @@ class DataPacket:
     def validate(self):
         if self.payload_size <= 0:
             raise EncodingError("payload_size", "must be positive")
-        if self.source_id == self.dest_id:
-            raise EncodingError("dest_id", "equals source_id")
-        for name in ("flow_id", "seq", "source_id", "dest_id", "payload_size"):
+        _check_endpoints(self.source_id, self.dest_id)
+        for name in ("flow_id", "seq", "payload_size"):
             if not 0 <= getattr(self, name) <= U32_MAX:
                 raise EncodingError(name, "outside u32")
-        if len(self.route) > MAX_LIST:
-            raise EncodingError("route", f"more than {MAX_LIST:,} ids")
-        if len(set(self.route)) != len(self.route):
-            raise EncodingError("route", "duplicate node id")
-        for node in self.route:
-            if not 0 <= node <= U32_MAX:
-                raise EncodingError("route", "id outside u32")
+        # a data route may name an endpoint, so it passes none
+        _check_ids("route", self.route)
 
 
 def wellformed(message) -> bool:
@@ -223,8 +220,7 @@ def rreq_header(r: Rreq) -> bytes:
 
 def rrep_body(r: Rrep) -> bytes:
     """The bytes every destination tag covers: header plus the route."""
-    if len(r.request_id_tag) != TAG_LEN:
-        raise EncodingError("request_id_tag", "must be 16 bytes")
+    _check_width("request_id_tag", r.request_id_tag, TAG_LEN)
     return (_RREP_HEADER.pack(RREP_TYPE, r.source_id, r.dest_id,
                               r.request_id_tag) + _pack_ids(r.route))
 
@@ -245,6 +241,8 @@ def hop_digest(rreq: Rreq, k: int) -> bytes:
 
 def encode(message) -> bytes:
     """Canonical, deterministic encoding of any protocol message."""
+    if not isinstance(message, (Rreq, Rrep, DataPacket)):
+        raise EncodingError("type", f"unknown message {type(message).__name__}")
     message.validate()
     if isinstance(message, Rreq):
         return (rreq_header(message) + _pack_ids(message.node_list)
@@ -252,12 +250,10 @@ def encode(message) -> bytes:
     if isinstance(message, Rrep):
         return (rrep_body(message) + _pack_tags(message.dest_tags)
                 + _pack_tags(message.reverse_hop_tags))
-    if isinstance(message, DataPacket):
-        return (_DATA_HEADER.pack(DATA_TYPE, message.flow_id, message.seq,
-                                  message.source_id, message.dest_id,
-                                  message.payload_size)
-                + _pack_ids(message.route) + _F64.pack(message.created_at))
-    raise EncodingError("type", f"unknown message {type(message).__name__}")
+    return (_DATA_HEADER.pack(DATA_TYPE, message.flow_id, message.seq,
+                              message.source_id, message.dest_id,
+                              message.payload_size)
+            + _pack_ids(message.route) + _F64.pack(message.created_at))
 
 
 def _unpack(packer: struct.Struct, data: bytes, pos: int) -> tuple[tuple, int]:

@@ -223,22 +223,13 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
                 f"{MAX_TIMER_EVENTS:,}")
 
 
-def _harmonic(m: int) -> float:
-    """The harmonic number 1 + 1/2 + ... + 1/m: summed up to 10 terms, and
-    past that by its asymptotic series, which is then good to 1e-8."""
-    if m <= 10:
-        return sum(1 / i for i in range(1, m + 1))
-    return (math.log(m) + 0.5772156649015329 + 1 / (2 * m)
-            - 1 / (12 * m ** 2) + 1 / (120 * m ** 4))
-
-
 def _expected_rejects(n: int, k: int) -> float:
     """The expected rejected draws before _make_flows holds k distinct
     ordered pairs of n nodes. Holding j of the N = n(n - 1) pairs, a draw
     of one of the n² (src, dst) is accepted with probability (N - j) / n²,
-    so the sum over j < k is n² (H(N) - H(N - k)) - k."""
+    so the sum over j < k is n² (1/(N - k + 1) + ... + 1/N) - k."""
     pairs = n * (n - 1)
-    return n * n * (_harmonic(pairs) - _harmonic(pairs - k)) - k
+    return n * n * math.fsum(1 / j for j in range(pairs - k + 1, pairs + 1)) - k
 
 
 def _is_point(position) -> bool:

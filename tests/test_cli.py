@@ -7,7 +7,7 @@ from lararp.cli import (ATTACKER_POINTS, CSV_COLUMNS, PAUSE_POINTS, csv_row,
                         main, mean_report, run_single, run_sweep,
                         sweep_configs)
 from lararp.metrics import MetricsReport
-from lararp.simnet import ScenarioConfig, run
+from lararp.simnet import ScenarioConfig, load_scenario, run
 
 SCENARIO = """
 node_count = 25
@@ -169,3 +169,18 @@ def test_parallel_sweep_writes_the_serial_csv(tmp_path):
     run_sweep("pausetime", base, seeds=[1], output_path=str(parallel),
               workers=2)
     assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_main_sweep_and_a_verbose_run_say_what_they_wrote(tmp_path, capsys):
+    scenario = tmp_path / "base.txt"
+    scenario.write_text("node_count = 12\nsim_time = 1\nflow_count = 2\n")
+    out, direct = tmp_path / "sweep.csv", tmp_path / "direct.csv"
+    assert main(["sweep", "pausetime", "--scenario", str(scenario),
+                 "--seeds", "1", "-o", str(out), "-v"]) == 0
+    assert capsys.readouterr().out == f"10 runs written to {out}\n"
+    run_sweep("pausetime", load_scenario(str(scenario)), seeds=[1],
+              output_path=str(direct))
+    assert out.read_bytes() == direct.read_bytes()
+    assert main(["run", str(scenario), "-o", str(tmp_path / "run.csv"),
+                 "-v"]) == 0
+    assert capsys.readouterr().out.startswith("pdr=")

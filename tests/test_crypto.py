@@ -235,6 +235,11 @@ def test_tag_rejects_empty_message():
         compute_tag(b"\x07" * 16, b"")
 
 
+def test_verify_tag_refuses_an_empty_message():
+    key = b"\x07" * 16
+    assert not verify_tag(key, b"", compute_tag(key, b"\x00"))
+
+
 def test_tag_message_bit_flips():
     key = b"\x07" * 16
     msg = bytes(range(64))

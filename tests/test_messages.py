@@ -129,6 +129,15 @@ def test_decode_rejects_unknown_type():
         decode(b"\x7f\x00")
 
 
+@pytest.mark.parametrize("message", [object(), 42, None],
+                         ids=["object", "int", "none"])
+def test_encode_refuses_an_unknown_type(message):
+    # the type is tested before validate, which such a value does not have
+    with pytest.raises(EncodingError) as exc:
+        encode(message)
+    assert exc.value.fieldname == "type"
+
+
 @pytest.mark.parametrize("make", [make_rreq, make_rrep, make_data])
 def test_decode_refuses_every_proper_prefix(make):
     # every field is present in every encoding, empty lists by their count,
@@ -181,11 +190,18 @@ def _long(make):
     (_with(make_data, "payload_size", 2 ** 32), "payload_size"),
     (_with(make_data, "route", -1), "route"),
     (_long(make_rreq), "node_list"), (_long(make_rrep), "dest_tags"),
-    (_long(make_data), "route")],
+    (_long(make_data), "route"),
+    # a rule between two fields, and a tag's width, names its field too
+    (_with(make_rrep, "dest_tags", [bytes(16)]), "dest_tags"),
+    (_with(make_rrep, "reverse_hop_tags", [bytes(16)] * 4), "reverse_hop_tags"),
+    (_with(make_rrep, "reverse_hop_tags", [bytes(15)]), "reverse_hop_tags"),
+    (_with(make_data, "payload_size", 0), "payload_size")],
     ids=["rreq-source", "rreq-dest", "rreq-verifier-index", "rreq-node",
          "rreq-negative-node", "rrep-source", "rrep-dest", "rrep-route",
          "data-flow", "data-seq", "data-source", "data-payload-size",
-         "data-route", "rreq-65536-ids", "rrep-65536-tags", "data-65536-ids"])
+         "data-route", "rreq-65536-ids", "rrep-65536-tags", "data-65536-ids",
+         "rrep-dest-tag-count", "rrep-reverse-tag-count", "rrep-15-byte-tag",
+         "data-zero-payload"])
 def test_an_int_or_list_the_wire_cannot_carry_is_malformed(message, fieldname):
     # each used to pass validate and then raise struct.error from its packer
     with pytest.raises(EncodingError) as exc:

@@ -161,6 +161,21 @@ def test_a_check_hashes_forward_to_the_newest_element_held(monkeypatch):
     assert index == 0
 
 
+@pytest.mark.parametrize("mode", PROTOCOLS)
+def test_an_index_past_the_chain_is_a_bad_verifier(mode):
+    # a relay with no record of the source checks against the anchor, at
+    # index chain.length; an index there or above is no element of the chain
+    world = World.line(3, mode=mode)
+    chain, relay = world.chains[0], world.nodes[1]
+    rreq = world.nodes[0].new_rreq(2, world.rng)
+    secret = rreq.verifier[1]
+    assert not verify_reveal(chain, chain.length, secret)
+    for index in (chain.length, chain.length + 1, 2 ** 32 - 1):
+        rreq.verifier = (index, secret)
+        assert World.hand(relay.handle_rreq, rreq, 0, 0.0).drop == BAD_VERIFIER
+    assert 0 not in relay.latest
+
+
 # -- destination pipeline ---------------------------------------------------
 
 def test_honest_discovery_skips_hop_tag_checks(line5):
