@@ -13,7 +13,8 @@ DISPATCH says so: for every result but a relayed request's, so a baseline
 forwarder's path checks are counted and not billed. forward_data
 returns a data hop's next hop id, None on delivery, or the drop reason; on
 a LINK_BREAK drop the node invalidates its own route, and the engine tells
-the packet's source.
+the packet's source. The engine wakes on_timer once per request sent,
+naming that request; it returns the retry, NO_ROUTE or None.
 
 A control-message handler takes only well-formed messages
 (messages.wellformed): the radio validates each transmission once and
@@ -42,6 +43,7 @@ BAD_FIRST_HOP = "bad-first-hop"
 REPLAY = "replay"
 LINK_BREAK = "link-break"
 MALFORMED = "malformed"
+NO_ROUTE = "no-route"
 
 FORWARDED = "forwarded"
 MISBEHAVED = "misbehaved"
@@ -65,7 +67,6 @@ class ProtocolConfig:
 @dataclass
 class PendingRequest:
     request_id: bytes
-    sent_at: float
     retries_remaining: int
 
 
@@ -176,8 +177,7 @@ class NodeState:
         rreq = self.new_rreq(dest, rng)
         if retries is None:
             retries = self.config.rreq_retries
-        self.pending[dest] = PendingRequest(
-            request_id=rreq.request_id, sent_at=now, retries_remaining=retries)
+        self.pending[dest] = PendingRequest(rreq.request_id, retries)
         self.log("discovery-start", dest=dest,
                  request_id=rreq.request_id.hex())
         return rreq
@@ -383,26 +383,21 @@ class NodeState:
 
     # -- timers and data ---------------------------------------------------
 
-    def on_timer(self, now: float, rng) -> list[tuple[int, Rreq | None]]:
-        """Re-discover every timed-out pending request; give up when
-        retries are exhausted. Returns a (dest, retry) pair for each: the
-        new request to broadcast, or None for a destination given up."""
-        expired = []
-        timeout = self.config.rreq_timeout
-        for dest in list(self.pending):
-            pend = self.pending[dest]
-            # small slack absorbs float rounding in timer scheduling
-            if now - pend.sent_at < timeout - 1e-9:
-                continue
-            del self.pending[dest]
-            if pend.retries_remaining > 0:
-                # a pending request implies no valid route, so this builds one
-                expired.append((dest, self.initiate_route_discovery(
-                    dest, now, rng, retries=pend.retries_remaining - 1)))
-            else:
-                self.log("unroutable", dest=dest)
-                expired.append((dest, None))
-        return expired
+    def on_timer(self, dest: int, request_id: bytes, now: float,
+                 rng) -> Rreq | str | None:
+        """Expire the request to dest named request_id at its one wake-up:
+        return its retry, or NO_ROUTE once its retries are spent; None if
+        it was answered or retried since."""
+        pend = self.pending.get(dest)
+        if pend is None or pend.request_id != request_id:
+            return None
+        del self.pending[dest]
+        if pend.retries_remaining > 0:
+            # a pending request implies no valid route, so this builds one
+            return self.initiate_route_discovery(
+                dest, now, rng, retries=pend.retries_remaining - 1)
+        self.log("unroutable", dest=dest)
+        return NO_ROUTE
 
     def forward_data(self, packet: DataPacket, prev_hop: int | None,
                      now: float) -> int | str | None:

@@ -34,11 +34,12 @@ the message's type and the receiver's role, with one lookup, and settles
 its result: it logs the tag checks the result counts and, where the table
 bills them, delays the response by them; then it logs a drop, or sends the
 one message, or, at a source that accepted a route, sends the packets
-buffered for it. Node records (credits, route changes) are built, and a
-data hop calls a node's logger, only when a log is kept: the live metrics
-fold none of them. So are a data packet's send and delivery records, which
-the engine counts in place; every other engine record goes through _emit,
-which folds it live.
+buffered for it. A node's own request goes out through _request, which
+pushes one _timer naming it rreq_timeout later, its only expiry. Node
+records (credits, route changes) are built, and a data hop calls a node's
+logger, only when a log is kept: the live metrics fold none of them. So are
+a data packet's send and delivery records, which the engine counts in
+place; every other engine record goes through _emit, which folds it live.
 
 All randomness flows from named streams derived from the scenario seed, so
 identical (config, seed) pairs produce bit-identical event logs. Mobility,
@@ -183,9 +184,9 @@ class ScenarioConfig(ProtocolConfig, AttackConfig):
         if self.rreq_retries < 0:
             raise ScenarioError("rreq_retries must be nonnegative")
         nodes = range(self.node_count)
-        for src, dst in self.flows or ():
-            if src == dst or src not in nodes or dst not in nodes:
-                raise ScenarioError(f"flow ({src}, {dst}) needs two distinct "
+        for flow in self.flows or ():
+            if not _is_flow(flow, len(nodes)):
+                raise ScenarioError(f"flow {flow!r} must be two distinct int "
                                     f"ids in range(node_count)")
         if self.positions is not None:
             if len(self.positions) != len(nodes):
@@ -241,6 +242,17 @@ def _is_point(position) -> bool:
         return False
 
 
+def _is_flow(flow, node_count: int) -> bool:
+    """Whether flow is a (src, dst) pair of two distinct int node ids in
+    range(node_count); a bool or a numpy int is not a node id."""
+    try:
+        src, dst = flow
+    except (TypeError, ValueError):
+        return False
+    return (type(src) is int and type(dst) is int and src != dst
+            and 0 <= src < node_count and 0 <= dst < node_count)
+
+
 _SCENARIO_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)
                     if f.name not in ("flows", "positions")}
 
@@ -273,8 +285,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 # -- mobility ---------------------------------------------------------------
@@ -573,9 +589,10 @@ class Simulation:
                 dest, now, self.rng_protocol), now)
 
     def _request(self, node_id: int, rreq: Rreq, now: float):
-        """Send node_id's own request and wake its timer when it expires."""
+        """Send node_id's own request; _timer expires it rreq_timeout later."""
         self._broadcast(node_id, rreq, now)
-        self._push(now + self.config.rreq_timeout, self._timer, node_id)
+        self._push(now + self.config.rreq_timeout, self._timer, node_id,
+                   rreq.dest_id, rreq.request_id)
 
     def _flood_tick(self, node_id: int, now: float):
         attacker = self.attackers[node_id]
@@ -752,18 +769,19 @@ class Simulation:
             else:
                 self._send(node_id, hop, packet, now)
 
-    def _timer(self, node_id: int, now: float):
-        """Retry or give up each timed-out request of node_id; giving up
-        drops the packets buffered for it. Every request sent, by _originate
-        or by a retry here, pushes its own wake-up for its expiry in
-        _request, so no other wake-up is needed."""
-        for dest, rreq in self.nodes[node_id].on_timer(now, self.rng_protocol):
-            if rreq is not None:
-                self._request(node_id, rreq, now)
-                continue
+    def _timer(self, node_id: int, dest: int, request_id: bytes, now: float):
+        """The wake-up of node_id's request to dest named request_id: send
+        its retry through _request, or, once node_id gives dest up, drop
+        the packets buffered for it. A request answered or retried since
+        leaves nothing to do."""
+        expired = self.nodes[node_id].on_timer(dest, request_id, now,
+                                               self.rng_protocol)
+        if type(expired) is Rreq:
+            self._request(node_id, expired, now)
+        elif expired is not None:
             for packet in self.buffers[node_id].pop(dest, []):
                 self._emit(now, node_id, "data-dropped", flow=packet.flow_id,
-                           seq=packet.seq, reason="no-route")
+                           seq=packet.seq, reason=expired)
 
     def _finalize(self):
         end = self.config.sim_time

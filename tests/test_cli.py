@@ -7,7 +7,7 @@ from lararp.cli import (ATTACKER_POINTS, CSV_COLUMNS, PAUSE_POINTS, csv_row,
                         main, mean_report, run_single, run_sweep,
                         sweep_configs)
 from lararp.metrics import MetricsReport
-from lararp.simnet import ScenarioConfig, load_scenario, run
+from lararp.simnet import ScenarioConfig, ScenarioError, load_scenario, run
 
 SCENARIO = """
 node_count = 25
@@ -83,6 +83,18 @@ def test_main_rejects_bad_scenario(tmp_path, capsys):
     assert "warp_drive" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "attackers", "--scenario"]], ids=["run", "sweep"])
+def test_main_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys, command):
+    # load_scenario used to die with a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    rc = main([*command, str(bad), "--output", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+
+
 def test_main_rejects_missing_file(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.txt"),
                "--output", str(tmp_path / "o.csv")])
@@ -117,6 +129,19 @@ def test_sweep_configs_pausetime_fixes_attackers():
     configs = sweep_configs("pausetime", base, seeds=[1])
     assert sorted({c.pause_time for c in configs}) == PAUSE_POINTS
     assert all(c.attacker_count == 5 for c in configs)
+
+
+def test_sweep_configs_rejects_an_unknown_experiment():
+    with pytest.raises(ScenarioError, match="unknown experiment"):
+        sweep_configs("speed", ScenarioConfig(), seeds=[1])
+
+
+def test_csv_row_leaves_a_missing_ratio_empty():
+    # a run that sent nothing has no pdr, delay or overhead
+    report = MetricsReport(pdr=None, avg_delay=None, control_overhead=None)
+    row = dict(zip(CSV_COLUMNS, csv_row(ScenarioConfig(), report)))
+    assert row["pdr"] == row["avg_delay"] == row["control_overhead"] == ""
+    assert row["data_sent"] == "0"
 
 
 def test_mean_report_averages():

@@ -26,6 +26,19 @@ def test_zero_length_rejected():
         generate_keychain(SEED, 0)
 
 
+@pytest.mark.parametrize("seed", [SEED[:-1], SEED + b"\x00", b""],
+                         ids=["15-bytes", "17-bytes", "empty"])
+def test_a_seed_of_the_wrong_length_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be 16 bytes"):
+        generate_keychain(seed, 4)
+
+
+def test_owf_rejects_a_label_past_eight_bytes():
+    assert len(owf(b"12345678", SEED)) == crypto.SECRET_LEN
+    with pytest.raises(ValueError, match="label too long"):
+        owf(b"123456789", SEED)
+
+
 def test_chain_soundness_recompute_oracle():
     # independently rebuild the chain and check every reveal verifies
     chain = generate_keychain(SEED, 4)

@@ -11,8 +11,8 @@ from lararp.messages import (DataPacket, Rrep, Rreq, hop_digest,
 from lararp.protocol import (BAD_FIRST_HOP, BAD_HOP_TAG, BAD_SOURCE_MAC,
                              BAD_VERIFIER, DISPATCH, DROPPED, DUPLICATE,
                              FORWARDED, LINK_BREAK, MALFORMED, MISBEHAVED,
-                             NOT_IN_ROUTE, PROTOCOLS, PROHIBITED, REPLAY,
-                             HandlerResult, NodeState)
+                             NO_ROUTE, NOT_IN_ROUTE, PROTOCOLS, PROHIBITED,
+                             REPLAY, HandlerResult, NodeState)
 
 
 # -- discovery construction -------------------------------------------------
@@ -324,21 +324,26 @@ def test_credit_matches_event_log_count(line5):
 
 def test_timer_boundaries(line5):
     node = line5.nodes[0]
-    node.initiate_route_discovery(4, 0.0, line5.rng)
-    first_id = node.pending[4].request_id
-    assert node.on_timer(0.999, line5.rng) == []         # aged t - eps
-    expired = node.on_timer(1.0, line5.rng)              # aged exactly t
-    (retry,) = [rreq for _, rreq in expired if rreq is not None]
-    assert retry.request_id != first_id                  # fresh id
+    first = node.initiate_route_discovery(4, 0.0, line5.rng)
+    retry = node.on_timer(4, first.request_id, 1.0, line5.rng)
+    assert retry.request_id != first.request_id          # fresh id
     assert node.pending[4].retries_remaining == node.config.rreq_retries - 1
+    # a wake-up naming a request its retry replaced, or one answered since,
+    # does nothing
+    pending = {dest: copy.copy(pend) for dest, pend in node.pending.items()}
+    assert node.on_timer(4, first.request_id, 1.0, line5.rng) is None
+    assert node.pending == pending
+    answered = line5.discover(0, 4, [1, 2, 3])["rreq"]
+    for request in (first, retry, answered):
+        assert node.on_timer(4, request.request_id, 2.0, line5.rng) is None
+        assert node.pending == {} and node.routes == {4: [1, 2, 3]}
 
 
 def test_timer_retries_exhausted(line5):
     node = line5.nodes[0]
-    node.initiate_route_discovery(4, 0.0, line5.rng)
+    rreq = node.initiate_route_discovery(4, 0.0, line5.rng)
     node.pending[4].retries_remaining = 0
-    expired = node.on_timer(5.0, line5.rng)
-    assert expired == [(4, None)]
+    assert node.on_timer(4, rreq.request_id, 5.0, line5.rng) == NO_ROUTE
     assert 4 not in node.pending
     assert any(kind == "unroutable" for _, kind, _ in line5.events)
 

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -44,6 +45,9 @@ def test_config_validation():
 
 @pytest.mark.parametrize("overrides", [
     dict(flows=[(0, 50)]), dict(flows=[(3, 3)]), dict(flows=[(-1, 3)]),
+    dict(flows=[(1.0, 2.0)]), dict(flows=[(np.int64(1), 2)]),
+    dict(flows=[(True, 0)]), dict(flows=[(0, 1, 2)]), dict(flows=[(0,)]),
+    dict(flows=[5]), dict(flows=[None]),
     dict(positions=[(0.0, 0.0)] * 9),
     dict(positions=[(0.0,)] + [(1.0, 1.0)] * 9),
     dict(positions=[(0, 0, 0)] + [(1.0, 1.0)] * 9),
@@ -52,13 +56,18 @@ def test_config_validation():
     dict(positions=[("0", 0.0)] + [(1.0, 1.0)] * 9),
     dict(positions=[0.0] + [(1.0, 1.0)] * 9)],
     ids=["flow-to-node-50", "flow-to-itself", "flow-from-node-minus-1",
+         "flow-of-floats", "flow-of-a-numpy-int", "flow-from-a-bool",
+         "flow-of-three-ids", "flow-of-one-id", "flow-scalar", "flow-none",
          "positions-for-9-nodes", "position-of-one-number",
          "position-of-three-numbers", "position-nan", "position-inf",
          "position-string", "position-scalar"])
 def test_validate_rejects_flows_and_positions_outside_the_network(overrides):
-    # each of these passed validate: the flows then crashed the run with a
-    # KeyError, a one-number position with an IndexError, and the other
-    # positions were refused only when it was built, or not at all
+    # each of these passed validate, or failed it with a bare ValueError or
+    # TypeError: the out-of-range flows then crashed the run with a
+    # KeyError, a float or numpy id with an AttributeError in the key table,
+    # and a bool id left a log that parse_log refuses; a one-number position
+    # crashed it with an IndexError, and the other positions were refused
+    # only when it was built, or not at all
     with pytest.raises(ScenarioError):
         ScenarioConfig(node_count=10, **overrides).validate()
 
@@ -1261,9 +1270,9 @@ def test_discovery_timer_fires_once_per_request(monkeypatch):
     calls = []
     timer = Simulation._timer
 
-    def counting_timer(self, node_id, now):
+    def counting_timer(self, node_id, dest, request_id, now):
         calls.append(node_id)
-        timer(self, node_id, now)
+        timer(self, node_id, dest, request_id, now)
 
     monkeypatch.setattr(Simulation, "_timer", counting_timer)
     config = ScenarioConfig(node_count=40, area_width=1500, area_height=1500,
@@ -1273,6 +1282,38 @@ def test_discovery_timer_fires_once_per_request(monkeypatch):
     _, records = run(config, keep_log=True)
     starts = sum(r.kind == "discovery-start" for r in records)
     assert 0 < len(calls) <= starts
+
+
+def test_each_retry_and_the_give_up_fall_one_timeout_apart():
+    # one packet's discovery at a pair out of range: its three requests and
+    # its give-up are each exactly rreq_timeout after the one before, added
+    # as _request adds it; the next packet comes 10 s later
+    cfg = ScenarioConfig(node_count=2, positions=[(0, 0), (900, 0)],
+                         flows=[(0, 1)], flow_count=1, flow_rate=0.1,
+                         sim_time=20.0, pause_time=100.0, rreq_timeout=0.3)
+    _, records = run(cfg, keep_log=True)
+    starts = [r.time for r in records if r.kind == "discovery-start"][:3]
+    (give_up, *_) = [r.time for r in records if r.kind == "unroutable"]
+    times = [*starts, give_up]
+    assert all(later == earlier + cfg.rreq_timeout
+               for earlier, later in zip(times, times[1:]))
+
+
+def test_a_discovery_late_in_a_long_run_expires_at_its_wake_up():
+    # the first packet leaves at t ~ 7.87e7 s, where a timeout of 0.3 s is
+    # not exactly representable above a float's spacing; each discovery
+    # must still retry twice and then give up, dropping its packet
+    cfg = ScenarioConfig(node_count=2, positions=[(0, 0), (900, 0)],
+                         flows=[(0, 1)], flow_count=1, flow_rate=1e-8,
+                         sim_time=1e9, mobility_tick=1e6, pause_time=2e9,
+                         rreq_timeout=0.3)
+    cfg.validate()
+    report, records = run(cfg, keep_log=True)
+    kinds = Counter(r.kind for r in records)
+    assert report.data_sent == 10
+    assert kinds["discovery-start"] == 30 and kinds["unroutable"] == 10
+    assert report.drops_by_reason == {"no-route": 10}
+    assert report.data_in_flight == 0
 
 
 # -- global invariants ------------------------------------------------------
